@@ -12,7 +12,7 @@ from .hull import (
 )
 from .labelled_graph import LabelledGraph, build_graph, to_dot
 from .lgis import LgisEngine, check_resolving, run_axiom_suite
-from .oracle import Oracle, oracle_build, oracle_eval, oracle_matches
+from .oracle import Oracle
 from .shift import (
     MatrixFormatError,
     TransitionMatrix,
@@ -52,9 +52,6 @@ __all__ = [
     "idem_product",
     "make_idem",
     "natural_leq",
-    "oracle_build",
-    "oracle_eval",
-    "oracle_matches",
     "parse_matrix",
     "run_axiom_suite",
     "to_dot",

@@ -107,7 +107,8 @@ def core_of_at(
 def core_of(T: TransitionMatrix, vec: int) -> frozenset[int]:
     """Core of the depth-0 idempotent of a follower class, as vectors."""
     members = core_of_at(T, (), vec)
-    assert all(not e.word for e in members)
+    if any(e.word for e in members):
+        raise InvariantViolation("core of a class left the depth-0 layer")
     return frozenset(e.vec for e in members)
 
 

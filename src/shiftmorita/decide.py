@@ -5,18 +5,26 @@ are isomorphic with the vertex map an order isomorphism.  Since equal
 labels force equal ranges and every label's edge fan covers the down-set
 of its cover's class, a vertex bijection extends to a full isomorphism iff
 it matches the order relation and, for every pair (vertex, class), the
-number of labels at the vertex whose cover lies in that class.  The
-backtracking search prunes on those invariants; any witness it returns is
-re-verified edge by edge before being trusted.
+number of labels at the vertex whose cover lies in that class.
+
+``order_isomorphisms`` enumerates those bijections, pruned by vertex
+profiles.  The graph search here and the CD search in ``smorita`` share it;
+each keeps its own finisher: the edge-level witness, re-verified edge by
+edge, or the full product table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Iterator
 
+from .core_order import CoreOrder
 from .labelled_graph import Edge, Label, LabelledGraph, build_graph
 from .shift import InvariantViolation, TransitionMatrix
+
+# {(vertex, class): n}: n labels at the vertex have their cover in the class
+Counts = dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -35,26 +43,90 @@ class Verdict:
     certificate: "str | None"
 
 
-def _label_counts(G: LabelledGraph) -> dict[tuple[int, int], int]:
-    """#labels per (range vertex, cover class)."""
-    counts: dict[tuple[int, int], int] = {}
+def _label_groups(G: LabelledGraph) -> dict[tuple[int, int], list[Label]]:
+    """Labels per (range vertex, cover class), each group sorted."""
+    groups: dict[tuple[int, int], list[Label]] = {}
     for lab in G.labels:
-        key = (lab.vertex, lab.src_class)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+        groups.setdefault((lab.vertex, lab.src_class), []).append(lab)
+    for group in groups.values():
+        group.sort(key=Label.key)
+    return groups
 
 
-def _vertex_profile(G: LabelledGraph, v: int) -> tuple:
-    order = G.order
-    below = sum(order.leq(w, v) for w in G.vertices)
-    above = sum(order.leq(v, w) for w in G.vertices)
-    out_deg = sum(e.source == v for e in G.edges)
-    in_labels = sorted(
-        sum(order.leq(w, lab.src_class) for w in G.vertices)
-        for lab in G.labels
-        if lab.vertex == v
-    )
-    return (below, above, out_deg, tuple(in_labels))
+def _label_counts(G: LabelledGraph) -> Counts:
+    """#labels per (range vertex, cover class)."""
+    return {key: len(group) for key, group in _label_groups(G).items()}
+
+
+class _Side:
+    """One side of the search.  For each vertex v, four maps {vertex:
+    multiplicity}: the classes below v, the classes above v, the labels at
+    v by cover class, and the labels whose cover lies in v by vertex; and
+    v's profile, an invariant of every count-preserving order isomorphism."""
+
+    def __init__(self, order: CoreOrder, counts: Counts):
+        rel = {v: ({}, {}, {}, {}) for v in order.classes}
+        for lo, hi in order.pairs:
+            rel[hi][0][lo] = rel[lo][1][hi] = 1
+        for (v, c), n in counts.items():
+            rel[v][2][c] = rel[c][3][v] = n
+        self.relations = rel
+        # (below, above, edges out of v, |down(class)| of each label at v)
+        self.profile = {
+            v: (
+                len(down),
+                len(up),
+                sum(sum(rel[c][3].values()) for c in up),
+                tuple(sorted(len(rel[c][0]) for c, n in at.items() for _ in range(n))),
+            )
+            for v, (down, up, at, _) in rel.items()
+        }
+
+
+def order_isomorphisms(
+    o1: CoreOrder, counts1: Counts, o2: CoreOrder, counts2: Counts
+) -> Iterator[dict[int, int]]:
+    """Yield each order isomorphism sigma with counts2[(sigma a, sigma c)]
+    == counts1[(a, c)] for all classes a, c, depth-first with an explicit
+    stack.  Classes are fixed in ``o1.classes`` order; their candidates,
+    the classes of equal profile, are tried in ``o2.classes`` order and
+    kept when the order and the counts agree with every class fixed so far.
+    """
+    s1, s2 = _Side(o1, counts1), _Side(o2, counts2)
+    by_profile: dict[tuple, list[int]] = {}
+    for v in o2.classes:
+        by_profile.setdefault(s2.profile[v], []).append(v)
+    cands = [by_profile.get(s1.profile[a], []) for a in o1.classes]
+    if len(o1.classes) != len(o2.classes) or not all(cands):
+        return
+    sigma: dict[int, int] = {}
+    inverse: dict[int, int] = {}
+
+    def fits(a: int, v: int) -> bool:
+        return all(
+            {sigma[b]: n for b, n in r1.items() if b in sigma}
+            == {w: n for w, n in r2.items() if w in inverse}
+            for r1, r2 in zip(s1.relations[a], s2.relations[v])
+        )
+
+    stack = [iter(cands[0])]
+    while stack:
+        a = o1.classes[len(stack) - 1]
+        if a in sigma:
+            del inverse[sigma.pop(a)]
+        for v in stack[-1]:
+            if v not in inverse:
+                sigma[a], inverse[v] = v, a
+                if fits(a, v):
+                    break
+                del sigma[a], inverse[v]
+        else:
+            stack.pop()
+            continue
+        if len(sigma) == len(cands):
+            yield dict(sigma)
+        else:
+            stack.append(iter(cands[len(sigma)]))
 
 
 def _extend_witness(
@@ -62,23 +134,13 @@ def _extend_witness(
 ) -> "IsoWitness | None":
     """Build the forced label/edge bijections over a vertex bijection,
     or None when the label groups do not match."""
-    by_key_2: dict[tuple[int, int], list[Label]] = {}
-    for lab in G2.labels:
-        by_key_2.setdefault((lab.vertex, lab.src_class), []).append(lab)
-    for group in by_key_2.values():
-        group.sort(key=Label.key)
+    by_key_2 = _label_groups(G2)
     pi2: dict[Label, Label] = {}
-    by_key_1: dict[tuple[int, int], list[Label]] = {}
-    for lab in G1.labels:
-        by_key_1.setdefault((lab.vertex, lab.src_class), []).append(lab)
-    for key, group in sorted(by_key_1.items()):
-        group.sort(key=Label.key)
-        image_key = (pi0[key[0]], pi0[key[1]])
-        partners = by_key_2.get(image_key, [])
+    for (a, c), group in sorted(_label_groups(G1).items()):
+        partners = by_key_2.get((pi0[a], pi0[c]), [])
         if len(partners) != len(group):
             return None
-        for x, y in zip(group, partners):
-            pi2[x] = y
+        pi2.update(zip(group, partners))
     if len(pi2) != len(G2.labels):
         return None
     pi1: dict[Edge, Edge] = {
@@ -126,50 +188,19 @@ def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
 def graphs_isomorphic_ordered(
     G1: LabelledGraph, G2: LabelledGraph
 ) -> "IsoWitness | None":
-    """Backtracking over vertex bijections, pruned by count and profile
-    invariants and by order-compatibility with the partial map."""
+    """The first count-preserving order isomorphism of the vertices that
+    extends to a verified witness, or None."""
     if len(G1.vertices) != len(G2.vertices):
         return None
     if len(G1.labels) != len(G2.labels) or len(G1.edges) != len(G2.edges):
         return None
-    prof2: dict[int, tuple] = {v: _vertex_profile(G2, v) for v in G2.vertices}
-    cands = {
-        a: [v for v in G2.vertices if _vertex_profile(G1, a) == prof2[v]]
-        for a in G1.vertices
-    }
-    if any(not c for c in cands.values()):
-        return None
-    o1, o2 = G1.order, G2.order
-    counts1 = _label_counts(G1)
-    counts2 = _label_counts(G2)
-
-    def extend(i: int, pi0: dict[int, int], used: set[int]) -> "IsoWitness | None":
-        if i == len(G1.vertices):
-            return _extend_witness(G1, G2, pi0)
-        a = G1.vertices[i]
-        for v in cands[a]:
-            if v in used:
-                continue
-            if any(
-                o1.leq(a, b) != o2.leq(v, pi0[b])
-                or o1.leq(b, a) != o2.leq(pi0[b], v)
-                for b in pi0
-            ):
-                continue
-            if counts1.get((a, a), 0) != counts2.get((v, v), 0) or any(
-                counts1.get((a, b), 0) != counts2.get((v, pi0[b]), 0)
-                or counts1.get((b, a), 0) != counts2.get((pi0[b], v), 0)
-                for b in pi0
-            ):
-                continue
-            pi0[a] = v
-            found = extend(i + 1, pi0, used | {v})
-            if found is not None:
-                return found
-            del pi0[a]
-        return None
-
-    return extend(0, {}, set())
+    for pi0 in order_isomorphisms(
+        G1.order, _label_counts(G1), G2.order, _label_counts(G2)
+    ):
+        witness = _extend_witness(G1, G2, pi0)
+        if witness is not None:
+            return witness
+    return None
 
 
 def brute_force_isomorphic(G1: LabelledGraph, G2: LabelledGraph) -> bool:
@@ -215,8 +246,8 @@ def _certificate(G1: LabelledGraph, G2: LabelledGraph) -> str:
         ("edge count", len(G1.edges), len(G2.edges)),
         (
             "vertex profiles",
-            sorted(_vertex_profile(G1, v) for v in G1.vertices),
-            sorted(_vertex_profile(G2, v) for v in G2.vertices),
+            sorted(_Side(G1.order, _label_counts(G1)).profile.values()),
+            sorted(_Side(G2.order, _label_counts(G2)).profile.values()),
         ),
     ]
     for name, x, y in checks:

@@ -16,7 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .shift import TransitionMatrix, Word, allowed_words, f_classes, word_allowed
+from .shift import (
+    InvariantViolation,
+    TransitionMatrix,
+    Word,
+    allowed_words,
+    f_classes,
+    word_allowed,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -48,7 +55,8 @@ def make_idem(T: TransitionMatrix, word: Word, vec: int) -> "HullIdempotent | No
 def base_idem(T: TransitionMatrix, vec: int) -> HullIdempotent:
     """The F-class representative (empty word) for a follower class."""
     e = make_idem(T, (), vec)
-    assert e is not None
+    if e is None:
+        raise InvariantViolation("the zero vector has no base idempotent")
     return e
 
 

@@ -88,12 +88,14 @@ def build_graph(T: TransitionMatrix) -> LabelledGraph:
             if f.word == ():
                 # F-type cover: it is the representative of its own class,
                 # so the guard reduces to that class not sitting below a.
-                assert f.vec in order.classes
+                if f.vec not in order.classes:
+                    raise InvariantViolation("F-type cover is not a class")
                 if order.leq(f.vec, a):
                     continue
             else:
                 # O-type cover: never equal to a class representative.
-                assert len(f.word) == 1 and f.vec == T.rows[f.word[0]]
+                if len(f.word) != 1 or f.vec != T.rows[f.word[0]]:
+                    raise InvariantViolation("O-type cover is not a one-letter row")
             lab = Label(a, f)
             labels.append(lab)
             for b in order.below(dclass_rep(f)):

@@ -20,6 +20,7 @@ from itertools import product as iproduct
 from typing import Hashable, Iterable, Sequence
 
 from .labelled_graph import LabelledGraph
+from .shift import InvariantViolation
 
 Path = tuple[int, ...]  # label indices in the owning engine
 Element = "tuple[Path, int, Path] | None"  # (alpha, A-vertex, beta); None is zero
@@ -243,7 +244,8 @@ class LgisEngine:
         z_z = self.multiply(self.inverse(z), z)
         xx = self.multiply(x, self.inverse(x))
         y_y = self.multiply(self.inverse(y), y)
-        assert zz == xx and z_z == y_y
+        if zz != xx or z_z != y_y:
+            raise InvariantViolation("D-relation witness fails re-verification")
         return (True, z)
 
     def idempotents(self, elements: Iterable[Element]) -> list[Element]:

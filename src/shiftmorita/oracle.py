@@ -153,19 +153,6 @@ class Oracle:
         return {x: y for x, y in m.items() if len(x) <= lim and len(y) <= lim}
 
 
-def oracle_build(T: TransitionMatrix, depth: int) -> dict[int, PartialMap]:
-    """Per-letter prepend maps, truncated at ``depth``."""
-    return dict(Oracle(T, depth)._theta)
-
-
-def oracle_eval(T: TransitionMatrix, expr: GenWord, depth: int) -> PartialMap:
-    return Oracle(T, depth).eval(expr)
-
-
-def oracle_matches(T: TransitionMatrix, e: HullIdempotent, depth: int) -> bool:
-    return Oracle(T, depth).matches(e)
-
-
 def dump_map(T: TransitionMatrix, m: PartialMap) -> str:
     """Sorted ``input -> output`` lines, for golden tests."""
     lines = [

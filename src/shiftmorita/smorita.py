@@ -11,6 +11,9 @@ CD consists of the class representatives themselves plus the guarded
 covers [b, f, b]; it is closed under products, its guarded covers are
 exactly its primitive idempotents, and a D-class preserving isomorphism of
 two CDs is what the decision procedure's graph search must agree with.
+Its guarded covers grouped by (outer class, D-class) have the sizes of the
+graph's label counts, so the CD search shares the graph search's engine and
+keeps its own finisher, the full product table.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core_order import CoreOrder, cached_order
+from .decide import order_isomorphisms
 from .hull import (
     HullIdempotent,
     base_idem,
@@ -76,7 +80,8 @@ def make_sidem(
         least = v if least is None else order.meet(least, v)
         if least is None:
             raise InvariantViolation("equality class of a triple has no meet")
-    assert least in group and idem_leq(T, g, base_idem(T, least))
+    if least not in group or not idem_leq(T, g, base_idem(T, least)):
+        raise InvariantViolation("least equivalent class does not carry the middle")
     return SIdem(least, g)
 
 
@@ -131,11 +136,13 @@ class CDSet:
                 if f.word == () and order.leq(f.vec, b):
                     continue
                 s = make_sidem(T, order, b, f)
-                assert s.u == b, "guarded covers canonicalize to their own class"
+                if s.u != b:
+                    raise InvariantViolation("guarded cover left its own class")
                 cll.append(s)
         self.Cll: tuple[SIdem, ...] = tuple(sorted(cll, key=SIdem.key))
         for x in self.C:
-            assert x.u == dclass_rep(x.g) == x.g.vec
+            if not x.u == dclass_rep(x.g) == x.g.vec:
+                raise InvariantViolation("class representative is not its own D-class")
         if set(self.C) & set(self.Cll):
             raise InvariantViolation("C and Cll are not disjoint")
         self.elements: tuple[SIdem, ...] = self.C + self.Cll
@@ -147,6 +154,15 @@ class CDSet:
                 f"CD is not closed under products: {self.fmt(x)} * {self.fmt(y)}"
             )
         return p
+
+    def cover_groups(self) -> dict[tuple[int, int], list[SIdem]]:
+        """Guarded covers by (outer class, D-class), each group sorted."""
+        out: dict[tuple[int, int], list[SIdem]] = {}
+        for x in self.Cll:
+            out.setdefault((x.u, self.dtag(x)), []).append(x)
+        for g in out.values():
+            g.sort(key=SIdem.key)
+        return out
 
     def dtag(self, x: SIdem) -> int:
         """The D-class of a CD element, read off its middle."""
@@ -221,62 +237,14 @@ def cd_isomorphic(cd1: CDSet, cd2: CDSet) -> "dict | None":
     o1, o2 = cd1.order, cd2.order
     if len(o1.classes) != len(o2.classes) or len(cd1.Cll) != len(cd2.Cll):
         return None
-
-    def groups(cd: CDSet) -> dict[tuple[int, int], list[SIdem]]:
-        out: dict[tuple[int, int], list[SIdem]] = {}
-        for x in cd.Cll:
-            out.setdefault((x.u, cd.dtag(x)), []).append(x)
-        for g in out.values():
-            g.sort(key=SIdem.key)
-        return out
-
-    g1, g2 = groups(cd1), groups(cd2)
-
-    def profile(order: CoreOrder, grp, v: int) -> tuple:
-        return (
-            sum(order.leq(w, v) for w in order.classes),
-            sum(order.leq(v, w) for w in order.classes),
-            sum(len(g) for (u, _), g in grp.items() if u == v),
-        )
-
-    cands = {
-        a: [
-            b
-            for b in o2.classes
-            if profile(o1, g1, a) == profile(o2, g2, b)
-        ]
-        for a in o1.classes
-    }
-    if any(not c for c in cands.values()):
-        return None
-
-    def extend(i: int, sigma: dict[int, int], used: set[int]) -> "dict | None":
-        if i == len(o1.classes):
-            return _assemble_and_verify(cd1, cd2, sigma, g1, g2)
-        a = o1.classes[i]
-        for b in cands[a]:
-            if b in used:
-                continue
-            if any(
-                o1.leq(a, c) != o2.leq(b, sigma[c])
-                or o1.leq(c, a) != o2.leq(sigma[c], b)
-                for c in sigma
-            ):
-                continue
-            if len(g1.get((a, a), ())) != len(g2.get((b, b), ())) or any(
-                len(g1.get((a, c), ())) != len(g2.get((b, sigma[c]), ()))
-                or len(g1.get((c, a), ())) != len(g2.get((sigma[c], b), ()))
-                for c in sigma
-            ):
-                continue
-            sigma[a] = b
-            found = extend(i + 1, sigma, used | {b})
-            if found is not None:
-                return found
-            del sigma[a]
-        return None
-
-    return extend(0, {}, set())
+    g1, g2 = cd1.cover_groups(), cd2.cover_groups()
+    for sigma in order_isomorphisms(
+        o1, {k: len(g) for k, g in g1.items()}, o2, {k: len(g) for k, g in g2.items()}
+    ):
+        found = _assemble_and_verify(cd1, cd2, sigma, g1, g2)
+        if found is not None:
+            return found
+    return None
 
 
 def _assemble_and_verify(cd1, cd2, sigma, g1, g2) -> "dict | None":
@@ -289,8 +257,7 @@ def _assemble_and_verify(cd1, cd2, sigma, g1, g2) -> "dict | None":
         partners = g2.get((sigma[a], sigma[d]), [])
         if len(partners) != len(elems):
             return None
-        for x, y in zip(elems, partners):
-            pi[x] = y
+        pi.update(zip(elems, partners))
     if len(set(pi.values())) != len(pi):
         return None
     for x in cd1.elements:

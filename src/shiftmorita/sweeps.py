@@ -14,6 +14,7 @@ from itertools import combinations, product as iproduct
 
 from .core_order import build_order, cached_order, check_meet_identity, core_of_at
 from .decide import (
+    _label_counts,
     brute_force_isomorphic,
     decide_morita,
     graphs_isomorphic_ordered,
@@ -48,7 +49,7 @@ def all_matrices(max_letters: int):
 def sweep_oracle(T: TransitionMatrix, depth: int = 6) -> list[str]:
     """Criterion: canonical idempotent algebra vs truncated partial maps.
 
-    Verifies oracle_matches for every canonical idempotent with |word| <= 2,
+    Verifies Oracle.matches for every canonical idempotent with |word| <= 2,
     then (knowing each map is a partial identity) compares the products,
     the order and the covering relation against clipped map domains, with
     idempotents of word length <= 3 swept as possible in-betweens.
@@ -59,7 +60,7 @@ def sweep_oracle(T: TransitionMatrix, depth: int = 6) -> list[str]:
     idems3 = enumerate_idems(T, 3)
     for e in idems3:
         if not oracle.matches(e):
-            fails.append(f"oracle_matches failed: {fmt_idem(T, e)}")
+            fails.append(f"Oracle.matches failed: {fmt_idem(T, e)}")
     clipped = {e: oracle.clip(oracle.idem_map(e)) for e in idems3}
     doms = {e: frozenset(m) for e, m in clipped.items()}
     for e1 in idems2:
@@ -176,11 +177,15 @@ def sweep_lgis(T: TransitionMatrix) -> list[str]:
 
 
 def sweep_cd(T: TransitionMatrix) -> list[str]:
-    """Criterion: coherence, the CD product case rules, primitivity."""
+    """Criterion: coherence, the CD product case rules, primitivity, and the
+    guarded-cover group sizes the graph and CD searches share as counts."""
     fails: list[str] = []
     if not coherent_check(T):
         fails.append("coherent_check failed")
     cd = build_cd(T)
+    group_sizes = {k: len(g) for k, g in cd.cover_groups().items()}
+    if group_sizes != _label_counts(build_graph(T)):
+        fails.append("guarded-cover groups differ from the graph's label counts")
     order = cd.order
     for x in cd.C:
         for y in cd.C:

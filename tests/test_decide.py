@@ -1,10 +1,11 @@
+from shiftmorita.core_order import CoreOrder
 from shiftmorita.decide import (
     brute_force_isomorphic,
     decide_morita,
     graphs_isomorphic_ordered,
     verify_witness,
 )
-from shiftmorita.labelled_graph import build_graph
+from shiftmorita.labelled_graph import LabelledGraph, build_graph
 from shiftmorita.sweeps import all_matrices, permuted_copy
 
 from conftest import mx
@@ -43,6 +44,18 @@ class TestIsomorphism:
         vm[a], vm[b] = vm[b], vm[a]
         bad = dataclasses.replace(w, vertex_map=tuple(sorted(vm.items())))
         assert not verify_witness(diamond_graph, diamond_graph, bad)
+
+
+    def test_large_antichain_matches_itself_by_identity(self):
+        """1 500 incomparable vertices without labels: every vertex is a
+        candidate for every other, and the search runs deeper than the
+        interpreter's recursion limit."""
+        classes = tuple(range(1, 1501))
+        order = CoreOrder(None, classes, frozenset((v, v) for v in classes), {}, {})
+        G = LabelledGraph(None, order, (), ())
+        w = graphs_isomorphic_ordered(G, G)
+        assert w is not None
+        assert dict(w.vertex_map) == {v: v for v in classes}
 
 
 class TestBruteForce:

@@ -1,31 +1,21 @@
 import pytest
 
 from shiftmorita.hull import enumerate_idems, make_idem
-from shiftmorita.oracle import (
-    Oracle,
-    compose,
-    dump_map,
-    oracle_build,
-    oracle_eval,
-    oracle_matches,
-)
+from shiftmorita.oracle import Oracle, compose, dump_map
 
 from conftest import mx
 
 
 class TestBuild:
     def test_diamond_theta_a_depth2(self, diamond):
-        thetas = oracle_build(diamond, 2)
-        assert thetas[0] == {(0,): (0, 0), (1,): (0, 1)}
+        assert Oracle(diamond, 2).theta(0) == {(0,): (0, 0), (1,): (0, 1)}
 
     def test_diamond_theta_b_depth2(self, diamond):
-        thetas = oracle_build(diamond, 2)
-        assert thetas[1] == {(1,): (1, 1), (2,): (1, 2)}
+        assert Oracle(diamond, 2).theta(1) == {(1,): (1, 1), (2,): (1, 2)}
 
     def test_identity_matrix_theta_a(self):
         T = mx("a b\n10\n01")
-        thetas = oracle_build(T, 2)
-        assert thetas[0] == {(0,): (0, 0)}
+        assert Oracle(T, 2).theta(0) == {(0,): (0, 0)}
 
     def test_depth_below_two_rejected(self, diamond):
         with pytest.raises(ValueError, match="depth"):
@@ -34,18 +24,18 @@ class TestBuild:
 
 class TestEval:
     def test_inverse_then_forward_is_domain_identity(self, diamond):
-        m = oracle_eval(diamond, [(0, -1), (0, +1)], 3)
+        m = Oracle(diamond, 3).eval([(0, -1), (0, +1)])
         assert m and all(x == y for x, y in m.items())
         assert {x[0] for x in m} == {0, 1}
 
     def test_prefix_swap(self, diamond):
-        m = oracle_eval(diamond, [(0, +1), (1, -1)], 3)
+        m = Oracle(diamond, 3).eval([(0, +1), (1, -1)])
         assert m
         for x, y in m.items():
             assert x[0] == 1 and y == (0,) + x[1:]
 
     def test_orthogonal_ranges_compose_to_empty(self, diamond):
-        m = oracle_eval(diamond, [(0, +1), (0, -1), (1, +1), (1, -1)], 4)
+        m = Oracle(diamond, 4).eval([(0, +1), (0, -1), (1, +1), (1, -1)])
         assert m == {}
 
     def test_empty_expr_is_identity(self, diamond):
@@ -56,20 +46,21 @@ class TestEval:
 class TestMatches:
     def test_base_idempotent(self, diamond):
         e = make_idem(diamond, (), diamond.mask_of("b"))
-        assert oracle_matches(diamond, e, 4)
+        assert Oracle(diamond, 4).matches(e)
 
     def test_depth_one_idempotent(self, diamond):
         e = make_idem(diamond, (0,), diamond.mask_of("ab"))
-        assert oracle_matches(diamond, e, 4)
+        assert Oracle(diamond, 4).matches(e)
 
     def test_single_letter_shift(self):
         T = mx("a\n1")
         e = make_idem(T, (), 1)
-        assert oracle_matches(T, e, 4)
+        assert Oracle(T, 4).matches(e)
 
     def test_all_canonical_idempotents_depth6(self, diamond):
+        o = Oracle(diamond, 6)
         for e in enumerate_idems(diamond, 2):
-            assert oracle_matches(diamond, e, 6)
+            assert o.matches(e)
 
     def test_negative_control_mismatched_prediction(self, diamond):
         o = Oracle(diamond, 6)
