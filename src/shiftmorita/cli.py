@@ -123,6 +123,9 @@ def cmd_cd(args) -> int:
 
 
 def cmd_lgis_check(args) -> int:
+    if args.maxlen < 0:
+        print("lgis path length bound must be >= 0", file=sys.stderr)
+        return 2
     T = _load(args.file)
     res = run_axiom_suite(build_graph(T), maxlen=args.maxlen)
     report = dict(res)

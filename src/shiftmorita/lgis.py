@@ -8,6 +8,14 @@ graphs built here a labelled path is determined by consecutive-letter
 compatibility and every relative source is either empty or the source set
 of the final letter, so everything reduces to vertex-order lookups.
 
+``LgisEngine`` is the element algebra, one product at a time.  The axiom
+suite needs every product among thousands of elements, so
+``ProductTables`` fills its tables by path-pair gathers: a product depends
+on the two inner paths only through their prefix case and tail, which is
+computed once per path pair, and the middle vertex comes from numpy
+gathers over the vertex leq and meet tables.  ``LgisEngine.multiply`` is
+the reference the tests check every table cell against.
+
 A representative-based relative source over raw edge lists is kept
 alongside as the oracle; ``check_resolving`` uses it so that hand-built
 counterexample graphs can be analysed too.
@@ -269,6 +277,200 @@ class LgisEngine:
         return out
 
 
+_BITS = 21  # width of each packed key field: alpha id, beta id, middle vertex
+_MASK = (1 << _BITS) - 1
+_CHUNK = 1 << 12  # table cells per gather chunk; bounds the temporaries
+
+
+class ProductTables:
+    """The product tables of ``run_axiom_suite``, filled by path-pair gathers.
+
+    The elements ``elems`` get universe ids 0..n-1 in order, and
+    ``pair[i, j]`` is the id of x_i x_j.  Once ``pair`` is filled the
+    universe holds nu ids, U1: the elements and their pairwise products.
+    ``left[i, k]`` is x_i u_k and ``right[k, i]`` is u_k x_i for every u_k
+    in U1; their entries extend the universe further.  ``keys[id]`` packs an
+    element into one integer (alpha id, beta id, middle vertex index); zero
+    is -1.
+
+    A product (alpha, A, beta)(gamma, B, delta) depends on the path pair
+    (beta, gamma) only through the prefix case, the tail, the range of the
+    tail's first label and the source of its last label, as in
+    ``LgisEngine.multiply``.  Each table computes those once per distinct
+    path pair, then fills its cells in row chunks by numpy gathers over the
+    vertex leq and meet tables, whose extra last index is the empty set.
+    ``LgisEngine.multiply`` is the reference the tests check every cell
+    against.
+    """
+
+    def __init__(self, eng: LgisEngine, elems: Sequence[Element]):
+        import numpy as np
+
+        order = eng.order
+        self.vertices = tuple(order.classes)
+        k = len(self.vertices)
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._empty = k
+        self._leq = np.zeros((k + 1, k + 1), dtype=bool)
+        self._meet = np.full((k + 1, k + 1), k, dtype=np.int64)
+        for i, u in enumerate(self.vertices):
+            for j, v in enumerate(self.vertices):
+                self._leq[i, j] = order.leq(u, v)
+                m = order.meet(u, v)
+                if m is not None:
+                    self._meet[i, j] = self._index[m]
+        self._range = [self._index[r] for r in eng.ranges]
+        self._src = [self._index[s] for s in eng.srcs]
+        self.paths: list[Path] = []
+        self._path_ids: dict[Path, int] = {}
+        self._path_id(())  # id 0
+        self._cats: dict[int, int] = {}  # packed (head, tail) -> path id
+        self.keys: list[int] = []
+        self._ids: dict[int, int] = {}
+        for e in elems:
+            self._intern(self._key(e))
+        x = self._operands(len(elems))
+        self.pair = self._table(x, x)
+        u = self._operands(len(self.keys))
+        self.left = self._table(x, u)
+        self.right = self._table(u, x)
+
+    def id_of(self, e: Element) -> int:
+        """The universe id of an element already in the universe."""
+        return self._ids[self._key(e)]
+
+    def element(self, uid: int) -> Element:
+        """The element tuple behind a universe id."""
+        key = self.keys[uid]
+        if key < 0:
+            return None
+        return (
+            self.paths[key >> 2 * _BITS],
+            self.vertices[key & _MASK],
+            self.paths[key >> _BITS & _MASK],
+        )
+
+    def _path_id(self, p: Path) -> int:
+        pid = self._path_ids.get(p)
+        if pid is None:
+            pid = self._path_ids[p] = len(self.paths)
+            if pid > _MASK:
+                raise OverflowError("too many paths for a packed element key")
+            self.paths.append(p)
+        return pid
+
+    def _key(self, e: Element) -> int:
+        if e is None:
+            return -1
+        alpha, A, beta = e
+        return (
+            self._path_id(alpha) << 2 * _BITS
+            | self._path_id(beta) << _BITS
+            | self._index[A]
+        )
+
+    def _intern(self, key: int) -> int:
+        uid = self._ids.get(key)
+        if uid is None:
+            uid = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+        return uid
+
+    def _operands(self, m: int):
+        """(alpha ids, middle indices, beta ids) of universe ids 0..m-1; zero
+        has empty paths and the empty-set middle, so every product with it
+        comes out zero."""
+        import numpy as np
+
+        keys = np.array(self.keys[:m], dtype=np.int64)
+        zero = keys < 0
+        return (
+            np.where(zero, 0, keys >> 2 * _BITS),
+            np.where(zero, self._empty, keys & _MASK),
+            np.where(zero, 0, keys >> _BITS & _MASK),
+        )
+
+    def _relation(self, betas, gammas):
+        """Per path pair: case 1 if gamma = beta.t, case 2 if beta = gamma.t
+        with t nonempty, else 0; and the tail t's path id."""
+        import numpy as np
+
+        case, tail = [], []
+        for b in betas.tolist():
+            bp = self.paths[b]
+            crow, trow = [], []
+            for g in gammas.tolist():
+                gp = self.paths[g]
+                if gp[: len(bp)] == bp:
+                    crow.append(1)
+                    trow.append(self._path_id(gp[len(bp):]))
+                elif bp[: len(gp)] == gp:
+                    crow.append(2)
+                    trow.append(self._path_id(bp[len(gp):]))
+                else:
+                    crow.append(0)
+                    trow.append(0)
+            case.append(crow)
+            tail.append(trow)
+        return np.array(case, dtype=np.int8), np.array(tail, dtype=np.int64)
+
+    def _table(self, x, y):
+        import numpy as np
+
+        xa, xv, xb = x
+        ya, yv, yb = y
+        betas, bi = np.unique(xb, return_inverse=True)
+        gammas, gi = np.unique(ya, return_inverse=True)
+        case, tail = self._relation(betas, gammas)
+        e = self._empty
+        first = np.array([self._range[p[0]] if p else e for p in self.paths])
+        last = np.array([self._src[p[-1]] if p else e for p in self.paths])
+        out = np.empty((len(xa), len(ya)), dtype=np.int32)
+        step = max(1, _CHUNK // max(1, len(ya)))
+        for r in range(0, len(xa), step):
+            rows = slice(r, r + step)
+            c = case[bi[rows, None], gi]
+            t = tail[bi[rows, None], gi]
+            A = xv[rows, None]
+            f, s = first[t], last[t]
+            # case 1 meets s(A, t) with B; case 2 meets A with s(B, t)
+            sA = np.where(t == 0, A, np.where(self._leq[f, A], s, e))
+            sB = np.where(self._leq[f, yv], s, e)
+            mid = np.where(
+                c == 1,
+                self._meet[sA, yv],
+                np.where(c == 2, self._meet[A, sB], e),
+            )
+            live = mid != e
+            alpha = self._concat(xa[rows, None], t, live & (c == 1))
+            delta = self._concat(yb, t, live & (c == 2))
+            keys = np.where(
+                live, alpha << 2 * _BITS | delta << _BITS | mid, -1
+            ).ravel()
+            uniq, inv = np.unique(keys, return_inverse=True)
+            ids = np.array([self._intern(k) for k in uniq.tolist()], dtype=np.int32)
+            out[rows] = ids[inv].reshape(t.shape)
+        return out
+
+    def _concat(self, head, tail, where):
+        """head.tail as path ids on the cells ``where`` holds, head elsewhere."""
+        import numpy as np
+
+        out = np.array(np.broadcast_to(head, tail.shape))
+        sel = where & (tail != 0)
+        if sel.any():
+            uniq, inv = np.unique(out[sel] << 32 | tail[sel], return_inverse=True)
+            out[sel] = np.array([self._cat(p) for p in uniq.tolist()])[inv]
+        return out
+
+    def _cat(self, packed: int) -> int:
+        pid = self._cats.get(packed)
+        if pid is None:
+            head, tail = self.paths[packed >> 32], self.paths[packed & 0xFFFFFFFF]
+            pid = self._cats[packed] = self._path_id(head + tail)
+        return pid
+
+
 def run_axiom_suite(
     G: LabelledGraph, maxlen: int = 2, samples3: int = 200, seed: int = 0
 ) -> dict:
@@ -277,123 +479,84 @@ def run_axiom_suite(
 
     Products leave the enumerated set (paths concatenate), so elements are
     interned into a growing universe and all table entries are universe
-    ids; associativity, unique inverses, commuting idempotents, the Green
-    characterizations, combinatoriality, 0-E-unitarity and both resolving
-    predicates are checked against those tables.
+    ids.  ``ProductTables`` fills the tables by path-pair gathers;
+    associativity, unique inverses, commuting idempotents, the Green
+    characterizations, combinatoriality and 0-E-unitarity are read off
+    them.  Green's D and the natural order are cross-checked by calling
+    ``LgisEngine.green`` and ``LgisEngine.leq`` on every pair, and both
+    resolving predicates run on the raw-edge oracle.
     """
     import numpy as np
 
     eng = LgisEngine(G)
     elems = eng.enumerate_elements(maxlen)
     n = len(elems)
-    universe: dict = {e: i for i, e in enumerate(elems)}
-    store: list = list(elems)
+    tab = ProductTables(eng, elems)
+    pair, left, right = tab.pair, tab.left, tab.right
 
-    def iid(e) -> int:
-        if e not in universe:
-            universe[e] = len(store)
-            store.append(e)
-        return universe[e]
+    results: dict = {"elements": n, "universe": len(tab.keys)}
 
-    pair = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            pair[i, j] = iid(eng.multiply(a, b))
-    nu = len(store)
-    left = np.empty((n, nu), dtype=np.int32)   # x * u
-    right = np.empty((nu, n), dtype=np.int32)  # u * x
-    for k in range(nu):
-        u = store[k]
-        for i, a in enumerate(elems):
-            left[i, k] = iid(eng.multiply(a, u))
-            right[k, i] = iid(eng.multiply(u, a))
-
-    results: dict = {"elements": n, "universe": len(store)}
-
-    assoc = all(
+    results["associativity"] = all(
         np.array_equal(left[i][pair], right[pair[i], :]) for i in range(n)
     )
-    results["associativity"] = bool(assoc)
 
-    inv = np.array([universe[eng.inverse(e)] for e in elems], dtype=np.int32)
-    xx = pair[np.arange(n), inv]          # x x*
-    x_x = pair[inv, np.arange(n)]         # x* x
-    unique_inv = True
-    for i in range(n):
-        good = [
-            j
-            for j in range(n)
-            if right[pair[i, j], i] == i and right[pair[j, i], j] == j
-        ]
-        if good != [int(inv[i])]:
-            unique_inv = False
-            break
-    results["unique_inverses"] = unique_inv
-
-    idems = [i for i in range(n) if pair[i, i] == i]
-    results["commuting_idempotents"] = bool(
-        all(pair[e, f] == pair[f, e] for e in idems for f in idems)
-    )
-    results["idempotent_shape"] = all(
-        elems[i] is None or elems[i][0] == elems[i][2] for i in idems
-    ) and all(
-        i in idems
-        for i in range(n)
-        if elems[i] is not None and elems[i][0] == elems[i][2]
+    ar = np.arange(n)
+    inv = np.array([tab.id_of(eng.inverse(e)) for e in elems], dtype=np.int64)
+    xx = pair[ar, inv]          # x x*
+    x_x = pair[inv, ar]         # x* x
+    # once[i, j]: x_i x_j x_i = x_i; x_j is an inverse iff also once[j, i]
+    once = right[pair, ar[:, None]] == ar[:, None]
+    good = once & once.T
+    results["unique_inverses"] = bool(
+        (good.sum(axis=1) == 1).all() and good[ar, inv].all()
     )
 
-    def struct_key(i: int, side: int):
-        e = elems[i]
-        if e is None:
-            return None
-        return (e[side], e[1])
-
-    r_ok = all(
-        (xx[i] == xx[j]) == (struct_key(i, 0) == struct_key(j, 0))
-        for i in range(n)
-        for j in range(n)
-    )
-    l_ok = all(
-        (x_x[i] == x_x[j]) == (struct_key(i, 2) == struct_key(j, 2))
-        for i in range(n)
-        for j in range(n)
-    )
-    results["green_R"] = bool(r_ok)
-    results["green_L"] = bool(l_ok)
-
-    dpairs = {(int(xx[k]), int(x_x[k])) for k in range(n)}
-    d_ok = all(
-        eng.green(elems[i], elems[j], "D")
-        == ((int(xx[i]), int(x_x[j])) in dpairs)
-        for i in range(n)
-        for j in range(n)
-    )
-    results["green_D"] = bool(d_ok)
-
-    results["combinatorial"] = (
-        len({(int(xx[k]), int(x_x[k])) for k in range(n)}) == n
+    idem = pair[ar, ar] == ar
+    idems = np.flatnonzero(idem)
+    sub = pair[np.ix_(idems, idems)]
+    results["commuting_idempotents"] = bool((sub == sub.T).all())
+    zero = np.array([e is None for e in elems])
+    diagonal = np.array([e is not None and e[0] == e[2] for e in elems])
+    results["idempotent_shape"] = bool(
+        (zero | diagonal)[idem].all() and idem[diagonal].all()
     )
 
-    zero = universe[None]
-    e_unitary = True
-    for e in idems:
-        if e == zero:
-            continue
-        for i in range(n):
-            if pair[i, e] == e and i not in idems:
-                e_unitary = False
-                break
-        if not e_unitary:
-            break
-    results["zero_e_unitary"] = e_unitary
+    def struct_classes(side: int):
+        codes: dict = {}
+        return np.array(
+            [
+                codes.setdefault(None if e is None else (e[side], e[1]), len(codes))
+                for e in elems
+            ]
+        )
 
-    leq_ok = all(
-        eng.leq(elems[i], elems[j])
-        == (left[j, x_x[i]] == i)
-        for i in range(n)
-        for j in range(n)
+    def same_partition(a, b) -> bool:
+        return bool(((a[:, None] == a) == (b[:, None] == b)).all())
+
+    results["green_R"] = same_partition(xx, struct_classes(0))
+    results["green_L"] = same_partition(x_x, struct_classes(2))
+
+    xl, x_xl = xx.tolist(), x_x.tolist()
+    dpairs = set(zip(xl, x_xl))
+    results["green_D"] = all(
+        eng.green(x, y, "D") == ((a, b) in dpairs)
+        for x, a in zip(elems, xl)
+        for y, b in zip(elems, x_xl)
     )
-    results["leq_agreement"] = bool(leq_ok)
+
+    results["combinatorial"] = len(dpairs) == n
+
+    fixed = idems[idems != tab.id_of(None)]
+    results["zero_e_unitary"] = not bool(
+        (pair[:, fixed] == fixed)[~idem].any()
+    )
+
+    below = (left[:, x_x] == ar).T.tolist()  # below[i][j]: x_j x_i* x_i = x_i
+    results["leq_agreement"] = all(
+        eng.leq(x, y) == b
+        for x, row in zip(elems, below)
+        for y, b in zip(elems, row)
+    )
 
     weak, strong = check_resolving(raw_of(G), 3)
     results["weakly_resolving"] = weak

@@ -70,15 +70,6 @@ class Oracle:
             cur = compose(m, cur)
         return cur
 
-    def idem_expr(self, e: HullIdempotent) -> GenWord:
-        """Canonical generator word theta_w (prod theta_x^-1 theta_x) theta_w^-1."""
-        witness = fclass_witness(self.T, e.vec)
-        expr: GenWord = [(a, +1) for a in e.word]
-        for x in witness:
-            expr += [(x, -1), (x, +1)]
-        expr += [(a, -1) for a in reversed(e.word)]
-        return expr
-
     def _word_maps(self, word: Word) -> tuple[PartialMap, PartialMap]:
         """(theta_word, theta_word^-1) as honest compositions, cached."""
         if word not in self._prefix_cache:

@@ -170,7 +170,7 @@ def sweep_conjugate_cores(T: TransitionMatrix) -> list[str]:
 def sweep_lgis(T: TransitionMatrix) -> list[str]:
     res = run_axiom_suite(build_graph(T))
     return [
-        f"lgis axiom {k} failed"
+        f"lgis axiom {k} failed on rows {T.rows}"
         for k, v in res.items()
         if isinstance(v, bool) and not v
     ]

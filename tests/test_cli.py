@@ -83,6 +83,24 @@ class TestLgisCheck:
         assert main(["lgis-check", matrix_file, "--maxlen", "1"]) == 0
         assert "verdict: PASS" in capsys.readouterr().out
 
+    def test_json_report(self, matrix_file, capsys):
+        assert main(["lgis-check", matrix_file, "--json"]) == 0
+        checks = [
+            "associativity", "associativity_sampled_deep", "combinatorial",
+            "commuting_idempotents", "green_D", "green_L", "green_R",
+            "idempotent_shape", "leq_agreement", "ok", "strongly_resolving",
+            "unique_inverses", "weakly_resolving", "zero_e_unitary",
+        ]
+        want = dict.fromkeys(checks, True)
+        want.update(elements=251, universe=20985, verdict="PASS")
+        assert json.loads(capsys.readouterr().out) == want
+
+    def test_negative_maxlen_exit_2(self, matrix_file, capsys):
+        assert main(["lgis-check", matrix_file, "--maxlen", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert ">= 0" in captured.err
+
 
 class TestOracleCheck:
     def test_pass(self, matrix_file, capsys):

@@ -1,8 +1,18 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import shiftmorita
+from shiftmorita import sweeps
 
 from shiftmorita.labelled_graph import build_graph
 from shiftmorita.lgis import (
     LgisEngine,
+    ProductTables,
     RawGraph,
     check_resolving,
     labelled_paths_raw,
@@ -254,8 +264,74 @@ class TestAxiomSuite:
     def test_diamond_graph_passes(self, diamond_graph):
         res = run_axiom_suite(diamond_graph)
         assert res["ok"], {k: v for k, v in res.items() if v is False}
+        assert res["elements"] == 251
+        assert res["universe"] == 20985
+
+    def test_sweep_failure_names_the_matrix(self, monkeypatch):
+        def one_failure(G):
+            return {"elements": 1, "associativity": True, "green_D": False}
+
+        monkeypatch.setattr(sweeps, "run_axiom_suite", one_failure)
+        assert sweeps.sweep_lgis(mx("a b\n11\n10")) == [
+            "lgis axiom green_D failed on rows (3, 1)"
+        ]
+
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy is imported inside run_axiom_suite, so importing the
+        # package stays cheap for callers that never run the suite
+        src = str(Path(shiftmorita.__file__).resolve().parents[1])
+        code = "import sys, shiftmorita; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "False"
 
     def test_idempotents_are_diagonal(self, eng):
         for x in eng.enumerate_elements(2):
             if eng.multiply(x, x) == x:
                 assert x is None or x[0] == x[2]
+
+
+def assert_tables_match_engine(T):
+    """Every cell of pair, left and right, decoded back to an element,
+    equals ``LgisEngine.multiply`` on the decoded operands."""
+    eng = LgisEngine(build_graph(T))
+    elems = eng.enumerate_elements(2)
+    tab = ProductTables(eng, elems)
+    n, nu = tab.left.shape
+    assert tab.pair.shape == (n, n) and tab.right.shape == (nu, n)
+    assert [tab.element(i) for i in range(n)] == elems
+    u1 = [tab.element(k) for k in range(nu)]
+    assert set(u1) == set(elems) | {
+        eng.multiply(a, b) for a in elems for b in elems
+    }
+    universe = {tab.element(u) for u in range(len(tab.keys))}
+    assert len(universe) == len(tab.keys)
+    pair, left, right = tab.pair.tolist(), tab.left.tolist(), tab.right.tolist()
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert tab.element(pair[i][j]) == eng.multiply(a, b), (T.rows, a, b)
+        for k, u in enumerate(u1):
+            assert tab.element(left[i][k]) == eng.multiply(a, u), (T.rows, a, u)
+            assert tab.element(right[k][i]) == eng.multiply(u, a), (T.rows, u, a)
+
+
+def element_count(T) -> int:
+    return len(LgisEngine(build_graph(T)).enumerate_elements(2))
+
+
+class TestProductTables:
+    @pytest.mark.parametrize(
+        "T", list(sweeps.all_matrices(2)), ids=lambda T: str(T.rows)
+    )
+    def test_every_two_letter_graph_matches_engine(self, T):
+        assert_tables_match_engine(T)
+
+    def test_seeded_three_letter_sample_matches_engine(self):
+        cheap = [
+            T for T in sweeps.all_matrices(3) if T.n == 3 and element_count(T) <= 60
+        ]
+        for T in random.Random(6).sample(cheap, 12):
+            assert_tables_match_engine(T)
