@@ -7,8 +7,12 @@ class b whenever some core contains comparable representatives of both;
 the transitive closure of those pairs is the vertex order of the labelled
 graph, and it carries a meet with e_{a^b} = e_a AND e_b whenever nonzero.
 
-Cores are computed for arbitrary canonical idempotents (word, vec) so the
-restriction of the class order to depth-0 idempotents can be validated
+``build_order`` computes the order with one kernel over class indices and
+int bitsets: the depth-0 cores as least fixpoints, Warshall's closure and
+the meets from intersected down-sets.  ``core_of_at`` computes the core of
+any canonical idempotent (word, vec) on ``HullIdempotent`` sets.  It is
+the reference the tests check the kernel against, and it lets the
+restriction of the class order to depth-0 idempotents be validated
 against conjugated corners instead of assumed.
 """
 
@@ -25,7 +29,7 @@ from .hull import (
     idem_product,
     make_idem,
 )
-from .shift import InvariantViolation, TransitionMatrix, Word, f_classes
+from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, Word, f_classes
 
 
 def core_of_at(
@@ -151,55 +155,146 @@ class CoreOrder:
         return tuple(covers)
 
 
-def build_order(
-    T: TransitionMatrix, rule_order: tuple[int, int, int] = (2, 3, 4)
-) -> CoreOrder:
+def _bits(x: int):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def build_order(T: TransitionMatrix) -> CoreOrder:
     """Transitive-reflexive closure of within-core comparabilities, plus
-    the meet table.  Antisymmetry is verified, never repaired."""
+    the meet table.  Antisymmetry is verified, never repaired.
+
+    One kernel over class indices (positions in ``f_classes(T)``) and int
+    bitsets over them.  It returns what the ``core_of_at`` reference gives
+    with the pair closure and the meet scan over its cores; the tests check
+    the two agree.
+    """
     classes = f_classes(T)
-    cores = {v: core_of_at(T, (), v, rule_order) for v in classes}
-    pairs = {(v, v) for v in classes}
-    for core in cores.values():
-        for f in core:
-            for g in core:
-                if idem_leq(T, f, g):
-                    pairs.add((f.vec, g.vec))
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(pairs):
-            for c, d in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    for a, b in pairs:
-        if a != b and (b, a) in pairs:
-            raise InvariantViolation(
-                f"class order is not antisymmetric: {T.fmt_vec(a)} ~ {T.fmt_vec(b)}"
-            )
+    k = len(classes)
+    index = {c: i for i, c in enumerate(classes)}
+    # sub[i]/sup[i]: subset relation on masks (reflexive); inc[i]: classes
+    # incomparable with i whose AND with i is nonzero.
+    sub = [1 << i for i in range(k)]
+    sup = sub.copy()
+    inc = [0] * k
+    # classes are sorted, so a later class is never a subset of an earlier one
+    for i, a in enumerate(classes):
+        for j in range(i + 1, k):
+            b = classes[j]
+            m = a & b
+            if m == a:
+                sub[j] |= 1 << i
+                sup[i] |= 1 << j
+            elif m:
+                inc[i] |= 1 << j
+                inc[j] |= 1 << i
+    # maxsub[i]: maximal proper subclasses of i
+    maxsub = [0] * k
+    for i in range(k):
+        proper = sub[i] & ~(1 << i)
+        lower = 0
+        for j in _bits(proper):
+            lower |= sub[j] & ~(1 << j)
+        maxsub[i] = proper & ~lower
+
+    down = [0] * k
+    cores = {}
+    for v in range(k):
+        core = _core(v, classes, index, sub, sup, maxsub, inc)
+        for g in _bits(core):
+            down[g] |= sub[g] & core
+        cores[classes[v]] = frozenset(classes[j] for j in _bits(core))
+    # Warshall's closure: the order lies inside the subset relation, so only
+    # the supersets of c can have c below them
+    for c in range(k):
+        dc = down[c]
+        for i in _bits(sup[c] & ~(1 << c)):
+            if down[i] >> c & 1:
+                down[i] |= dc
+
+    pairs = set()
+    for b in range(k):
+        for a in _bits(down[b] & ~(1 << b)):
+            if down[a] >> b & 1:
+                raise InvariantViolation(
+                    f"class order is not antisymmetric: "
+                    f"{T.fmt_vec(classes[a])} ~ {T.fmt_vec(classes[b])}"
+                )
+        pairs.update((classes[a], classes[b]) for a in _bits(down[b]))
     meets: dict[tuple[int, int], int | None] = {}
-    for a in classes:
-        for b in classes:
-            lower = [c for c in classes if (c, a) in pairs and (c, b) in pairs]
+    for i, a in enumerate(classes):
+        da = down[i]
+        for j, b in enumerate(classes):
+            lower = da & down[j]
             if not lower:
                 meets[(a, b)] = None
                 continue
-            m = a & b
-            if m not in classes or (m, a) not in pairs or (m, b) not in pairs:
+            m = index.get(a & b)
+            if m is None or not (lower >> m & 1):
                 raise InvariantViolation(
                     f"meet of {T.fmt_vec(a)}, {T.fmt_vec(b)} is not the AND class"
                 )
-            if any((c, m) not in pairs for c in lower):
+            if lower & ~down[m]:
                 raise InvariantViolation(
                     f"AND class of {T.fmt_vec(a)}, {T.fmt_vec(b)} is not the glb"
                 )
-            meets[(a, b)] = m
-    core_vecs = {v: frozenset(e.vec for e in core) for v, core in cores.items()}
-    return CoreOrder(T, classes, frozenset(pairs), meets, core_vecs)
+            meets[(a, b)] = classes[m]
+    return CoreOrder(T, classes, frozenset(pairs), meets, cores)
 
 
-@lru_cache(maxsize=None)
+def _core(
+    v: int,
+    classes: tuple[int, ...],
+    index: dict[int, int],
+    sub: list[int],
+    sup: list[int],
+    maxsub: list[int],
+    inc: list[int],
+) -> int:
+    """Core of class v's depth-0 idempotent, as a bitset of class indices.
+
+    At depth 0, rule (2) is AND, rule (4) adds the subset interval between
+    two members, and rule (3) ranges over the F-type covers only: the
+    maximal proper subclasses of members, collected in ``covers``.  The
+    one-letter (O-type) covers never fire it.  Two of them multiply to zero
+    unless they are equal, and ((b,), row b) sits below every F-type cover
+    ((), u) with b in u and has zero product with every other.  The rules
+    are monotone, so the least fixpoint does not depend on their order.
+    """
+    core = 0
+    covers = 0
+    todo = [v]
+    while todo:
+        while todo:
+            x = todo.pop()
+            if core >> x & 1:
+                continue
+            core |= 1 << x
+            covers |= maxsub[x]
+            cx = classes[x]
+            new = 0
+            # (2): ANDs with comparable members are members already
+            for y in _bits(inc[x] & core):
+                new |= 1 << index[cx & classes[y]]
+            # (4): intervals between x and its comparable members
+            hull = 0
+            for y in _bits(sub[x] & core):
+                hull |= sup[y]
+            new |= hull & sub[x]
+            hull = 0
+            for y in _bits(sup[x] & core):
+                hull |= sub[y]
+            new |= hull & sup[x]
+            todo.extend(_bits(new & ~core))
+        # (3): a cover joins when it meets an incomparable cover
+        todo.extend(x for x in _bits(covers & ~core) if inc[x] & covers)
+    return core
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def cached_order(T: TransitionMatrix) -> CoreOrder:
     return build_order(T)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .shift import (
+    CACHE_MAXSIZE,
     InvariantViolation,
     TransitionMatrix,
     Word,
@@ -60,7 +61,7 @@ def base_idem(T: TransitionMatrix, vec: int) -> HullIdempotent:
     return e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def fclass_witness(T: TransitionMatrix, vec: int) -> tuple[int, ...]:
     """Letters whose rows realize ``vec`` as their intersection."""
     letters = tuple(a for a in range(T.n) if T.rows[a] & vec == vec)

@@ -16,6 +16,10 @@ from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
+# Entries kept by each per-matrix cache, so that long batch runs stay in
+# bounded memory.
+CACHE_MAXSIZE = 1024
+
 
 class MatrixFormatError(ValueError):
     """Raised for malformed matrix input text."""
@@ -138,21 +142,27 @@ def follower_of(T: TransitionMatrix, a: "str | int") -> int:
     return T.rows[i]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def f_classes(T: TransitionMatrix) -> tuple[int, ...]:
     """All nonzero intersections of rows: the closure of the rows under
     bitwise AND with the zero vector removed.  One entry per nonzero
-    D-class of the inverse hull."""
-    classes = set(T.rows)
-    changed = True
-    while changed:
-        changed = False
-        for u in list(classes):
-            for v in list(classes):
-                w = u & v
+    D-class of the inverse hull.
+
+    Grown from a frontier: every intersection is some class ANDed with one
+    row, so each new class is ANDed with the rows only.
+    """
+    rows = set(T.rows)
+    classes = set(rows)
+    frontier = list(classes)
+    while frontier:
+        grown = []
+        for u in frontier:
+            for r in rows:
+                w = u & r
                 if w and w not in classes:
                     classes.add(w)
-                    changed = True
+                    grown.append(w)
+        frontier = grown
     return tuple(sorted(classes))
 
 

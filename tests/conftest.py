@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from shiftmorita.shift import TransitionMatrix, parse_matrix
@@ -20,3 +22,25 @@ def diamond_graph(diamond):
 
 def mx(text: str) -> TransitionMatrix:
     return parse_matrix(text)
+
+
+def seeded_matrices(
+    seed: int = 7,
+    letters=(4, 5, 6, 7),
+    densities=(0.3, 0.5, 0.7, 0.85),
+    per_cell: int = 10,
+) -> list[TransitionMatrix]:
+    """A fixed sample of random matrices: ``per_cell`` of each letter count
+    at each density (the chance that a transition is allowed).  A row left
+    empty gets one random letter."""
+    rng = random.Random(seed)
+    out = []
+    for n in letters:
+        for d in densities:
+            for _ in range(per_cell):
+                rows = []
+                for _a in range(n):
+                    r = sum(1 << b for b in range(n) if rng.random() < d)
+                    rows.append(r or 1 << rng.randrange(n))
+                out.append(TransitionMatrix(tuple("abcdefgh"[:n]), tuple(rows)))
+    return out

@@ -3,14 +3,55 @@ from hypothesis import given, settings
 
 from shiftmorita.core_order import (
     build_order,
+    cached_order,
     check_meet_identity,
     core_of,
     core_of_at,
 )
-from shiftmorita.shift import f_classes, natural_leq
+from shiftmorita.hull import fclass_witness, idem_leq
+from shiftmorita.shift import CACHE_MAXSIZE, TransitionMatrix, f_classes, natural_leq
+from shiftmorita.sweeps import all_matrices
 
-from conftest import mx
+from conftest import mx, seeded_matrices
 from test_shift import matrices
+
+
+def reference_order(T):
+    """Classes, pairs, meets and cores from the HullIdempotent reference:
+    ``core_of_at`` for every class, the closure of within-core
+    comparabilities by repeated pair composition, and the meet as a scan
+    over all common lower bounds."""
+    classes = f_classes(T)
+    cores = {v: core_of_at(T, (), v) for v in classes}
+    pairs = {(v, v) for v in classes}
+    for core in cores.values():
+        for f in core:
+            for g in core:
+                if idem_leq(T, f, g):
+                    pairs.add((f.vec, g.vec))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(pairs):
+            for c, d in list(pairs):
+                if b == c and (a, d) not in pairs:
+                    pairs.add((a, d))
+                    changed = True
+    for a, b in pairs:
+        assert a == b or (b, a) not in pairs
+    meets = {}
+    for a in classes:
+        for b in classes:
+            lower = [c for c in classes if (c, a) in pairs and (c, b) in pairs]
+            if not lower:
+                meets[(a, b)] = None
+                continue
+            m = a & b
+            assert m in classes and (m, a) in pairs and (m, b) in pairs
+            assert all((c, m) in pairs for c in lower)
+            meets[(a, b)] = m
+    core_vecs = {v: frozenset(e.vec for e in core) for v, core in cores.items()}
+    return classes, frozenset(pairs), meets, core_vecs
 
 
 class TestCore:
@@ -128,3 +169,38 @@ class TestMeets:
     @given(matrices(4))
     def test_meet_identity_random(self, T):
         assert check_meet_identity(T, build_order(T))
+
+
+class TestKernelMatchesReference:
+    @staticmethod
+    def check(T):
+        order = build_order(T)
+        classes, pairs, meets, cores = reference_order(T)
+        assert order.classes == classes, T.rows
+        assert order.pairs == pairs, T.rows
+        assert order.meets == meets, T.rows
+        assert order.cores == cores, T.rows
+
+    def test_every_matrix_up_to_three_letters(self):
+        for T in all_matrices(3):
+            self.check(T)
+
+    def test_seeded_four_to_seven_letters(self):
+        sample = seeded_matrices()
+        assert len(sample) >= 150
+        for T in sample:
+            self.check(T)
+
+
+class TestBoundedCaches:
+    def test_caches_stay_within_maxsize(self):
+        assert CACHE_MAXSIZE >= 1024
+        for i in range(CACHE_MAXSIZE + 10):
+            T = TransitionMatrix((f"s{i}",), (1,))
+            f_classes(T)
+            cached_order(T)
+            fclass_witness(T, 1)
+        for cache in (f_classes, cached_order, fclass_witness):
+            info = cache.cache_info()
+            assert info.maxsize == CACHE_MAXSIZE
+            assert info.currsize <= info.maxsize

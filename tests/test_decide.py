@@ -1,4 +1,7 @@
-from shiftmorita.core_order import CoreOrder
+import random
+import time
+
+from shiftmorita.core_order import CoreOrder, build_order
 from shiftmorita.decide import (
     brute_force_isomorphic,
     decide_morita,
@@ -6,6 +9,7 @@ from shiftmorita.decide import (
     verify_witness,
 )
 from shiftmorita.labelled_graph import LabelledGraph, build_graph
+from shiftmorita.shift import TransitionMatrix
 from shiftmorita.sweeps import all_matrices, permuted_copy
 
 from conftest import mx
@@ -56,6 +60,24 @@ class TestIsomorphism:
         w = graphs_isomorphic_ordered(G, G)
         assert w is not None
         assert dict(w.vertex_map) == {v: v for v in classes}
+
+    def test_j_minus_i_eight_letters_matches_relabelled_copy(self):
+        # every letter may follow every other: 2^8 - 2 = 254 classes.  The
+        # copy is relabelled and renamed, so nothing is shared through the
+        # caches keyed on the matrix.
+        n = 8
+        full = (1 << n) - 1
+        T = TransitionMatrix(tuple("abcdefgh"), tuple(full & ~(1 << i) for i in range(n)))
+        perm = list(range(n))
+        random.Random(8).shuffle(perm)
+        U = TransitionMatrix(tuple("ABCDEFGH"), permuted_copy(T, perm).rows)
+        t0 = time.perf_counter()
+        assert len(build_order(U).classes) == 254
+        verdict = decide_morita(T, U)
+        assert verdict.equivalent
+        assert verify_witness(build_graph(T), build_graph(U), verdict.witness)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
 
 class TestBruteForce:

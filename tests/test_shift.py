@@ -12,8 +12,9 @@ from shiftmorita.shift import (
     parse_word,
     word_allowed,
 )
+from shiftmorita.sweeps import all_matrices
 
-from conftest import mx
+from conftest import mx, seeded_matrices
 
 
 def matrices(max_letters=4):
@@ -127,6 +128,23 @@ class TestFClasses:
         # AND of the two singleton rows is zero and must be excluded
         T = mx("a b\n10\n01")
         assert set(f_classes(T)) == {1, 2}
+
+    @staticmethod
+    def brute_force(T):
+        """The AND of every nonempty subset of rows, zero removed."""
+        out = set()
+        for s in range(1, 2**T.n):
+            acc = T.full_mask()
+            for a in range(T.n):
+                if s >> a & 1:
+                    acc &= T.rows[a]
+            if acc:
+                out.add(acc)
+        return tuple(sorted(out))
+
+    def test_matches_brute_force(self):
+        for T in list(all_matrices(3)) + seeded_matrices(seed=11):
+            assert f_classes(T) == self.brute_force(T), T.rows
 
     @given(matrices())
     def test_and_closed_and_contains_rows(self, T):
