@@ -1,59 +1,17 @@
-"""Labelled-graph Morita invariant for inverse hulls of Markov shifts."""
+"""Labelled-graph Morita invariant for inverse hulls of Markov shifts.
 
-from .core_order import CoreOrder, build_order, check_meet_identity, core_of
-from .decide import Verdict, decide_morita, graphs_isomorphic_ordered
-from .hull import (
-    HullIdempotent,
-    covers_below,
-    dclass_rep,
-    idem_leq,
-    idem_product,
-    make_idem,
-)
-from .labelled_graph import LabelledGraph, build_graph, to_dot
-from .lgis import LgisEngine, check_resolving, run_axiom_suite
-from .oracle import Oracle
-from .shift import (
-    MatrixFormatError,
-    TransitionMatrix,
-    f_classes,
-    follower_of,
-    natural_leq,
-    parse_matrix,
-    word_allowed,
-)
-from .smorita import CDSet, build_cd, cd_isomorphic, coherent_check
+The package exports the pipeline of the README's library-use section; every
+other name lives in its submodule.
+"""
+
+from .decide import decide_morita
+from .labelled_graph import build_graph
+from .shift import InvariantViolation, MatrixFormatError, parse_matrix
 
 __all__ = [
-    "CDSet",
-    "CoreOrder",
-    "HullIdempotent",
-    "LabelledGraph",
-    "LgisEngine",
+    "InvariantViolation",
     "MatrixFormatError",
-    "Oracle",
-    "TransitionMatrix",
-    "Verdict",
-    "build_cd",
     "build_graph",
-    "build_order",
-    "cd_isomorphic",
-    "check_meet_identity",
-    "check_resolving",
-    "coherent_check",
-    "core_of",
-    "covers_below",
-    "dclass_rep",
     "decide_morita",
-    "f_classes",
-    "follower_of",
-    "graphs_isomorphic_ordered",
-    "idem_leq",
-    "idem_product",
-    "make_idem",
-    "natural_leq",
     "parse_matrix",
-    "run_axiom_suite",
-    "to_dot",
-    "word_allowed",
 ]

@@ -52,7 +52,7 @@ def cmd_fgraph(args) -> int:
             f"{T.fmt_vec(a)} < {T.fmt_vec(b)}" for a, b in G.order.hasse()
         ],
         "labels": [
-            f"{G.label_names[lab]} = {fmt_label(G, lab)}" for lab in G.labels
+            f"{G.label_names[lab]} = {fmt_label(T, lab)}" for lab in G.labels
         ],
         "label count": len(G.labels),
         "edges": [
@@ -176,9 +176,8 @@ def cmd_decide(args) -> int:
         print("EQUIVALENT")
         for a, b in verdict.witness.vertex_map:
             print(f"vertex: {T1.fmt_vec(a)} -> {T2.fmt_vec(b)}")
-        G1, G2 = build_graph(T1), build_graph(T2)
         for l1, l2 in verdict.witness.label_map:
-            print(f"label: {fmt_label(G1, l1)} -> {fmt_label(G2, l2)}")
+            print(f"label: {fmt_label(T1, l1)} -> {fmt_label(T2, l2)}")
         return 0
     print("NOT EQUIVALENT")
     print(f"certificate: {verdict.certificate}")

@@ -8,12 +8,13 @@ the transitive closure of those pairs is the vertex order of the labelled
 graph, and it carries a meet with e_{a^b} = e_a AND e_b whenever nonzero.
 
 ``build_order`` computes the order with one kernel over class indices and
-int bitsets: the depth-0 cores as least fixpoints, Warshall's closure and
-the meets from intersected down-sets.  ``core_of_at`` computes the core of
-any canonical idempotent (word, vec) on ``HullIdempotent`` sets.  It is
-the reference the tests check the kernel against, and it lets the
-restriction of the class order to depth-0 idempotents be validated
-against conjugated corners instead of assumed.
+int bitsets (the depth-0 cores as least fixpoints, Warshall's closure), and
+its ``CoreOrder`` keeps those bitsets: meets, down-sets, Hasse covers and the
+covers of each class representative are read off them.  ``core_of_at`` (the
+core of any canonical idempotent) and ``hull.covers_below_at`` work on
+``HullIdempotent`` sets; they are the references the tests and sweeps check
+the kernel against, and they validate the depth-0 restriction of the class
+order against conjugated corners instead of assuming it.
 """
 
 from __future__ import annotations
@@ -108,51 +109,60 @@ def core_of_at(
     return frozenset(members)
 
 
-def core_of(T: TransitionMatrix, vec: int) -> frozenset[int]:
-    """Core of the depth-0 idempotent of a follower class, as vectors."""
-    members = core_of_at(T, (), vec)
-    if any(e.word for e in members):
-        raise InvariantViolation("core of a class left the depth-0 layer")
-    return frozenset(e.vec for e in members)
-
-
 @dataclass(frozen=True)
 class CoreOrder:
-    """Nonzero D-classes with the derived order and its meet table.
-
-    Classes are follower-class bitmasks; ``pairs`` holds (lo, hi) with
-    lo below-or-equal hi; ``meets[(a, b)]`` is the greatest lower bound
-    (None for zero).
-    """
+    """Nonzero D-classes with the derived order, in the kernel's bitsets:
+    class i is the mask ``classes[i]`` (``index`` inverts that), ``down[i]``
+    and ``maxsub[i]`` are the bitsets of the classes below-or-equal it and of
+    its maximal proper subclasses, and ``pairs`` holds (lo, hi) with lo
+    below-or-equal hi."""
 
     matrix: TransitionMatrix
     classes: tuple[int, ...]
     pairs: frozenset[tuple[int, int]]
-    meets: dict[tuple[int, int], "int | None"] = field(hash=False)
     cores: dict[int, frozenset[int]] = field(hash=False)
+    index: dict[int, int] = field(hash=False)
+    down: tuple[int, ...] = field(hash=False)
+    maxsub: tuple[int, ...] = field(hash=False)
 
     def leq(self, a: int, b: int) -> bool:
         return (a, b) in self.pairs
 
     def meet(self, a: int, b: int) -> "int | None":
-        return self.meets[(a, b)]
+        """The greatest lower bound, None for zero; ``build_order`` checks
+        that it is the AND class whenever the down-sets intersect."""
+        return a & b if self.down[self.index[a]] & self.down[self.index[b]] else None
 
     def below(self, v: int) -> tuple[int, ...]:
         """B_v: all classes below-or-equal v, in canonical order."""
-        return tuple(c for c in self.classes if (c, v) in self.pairs)
+        return tuple(self.classes[j] for j in _bits(self.down[self.index[v]]))
 
     def hasse(self) -> tuple[tuple[int, int], ...]:
         covers = []
-        for a, b in sorted(self.pairs):
-            if a == b:
-                continue
-            if any(
-                c != a and c != b and (a, c) in self.pairs and (c, b) in self.pairs
-                for c in self.classes
-            ):
-                continue
-            covers.append((a, b))
-        return tuple(covers)
+        for b, db in enumerate(self.down):
+            strict = db & ~(1 << b)
+            lower = 0
+            for c in _bits(strict):
+                lower |= self.down[c] & ~(1 << c)
+            covers.extend((a, b) for a in _bits(strict & ~lower))
+        return tuple((self.classes[a], self.classes[b]) for a, b in sorted(covers))
+
+    def covers(self, v: int) -> tuple[HullIdempotent, ...]:
+        """``covers_below(T, v)`` read off the bitsets: ((), u) for each
+        maximal proper subclass u of v, then ((b,), row b) for each letter b
+        of v in no proper subclass."""
+        flat = [self.classes[j] for j in _bits(self.maxsub[self.index[v]])]
+        inner = 0
+        for u in flat:
+            inner |= u
+        return tuple(HullIdempotent((), u) for u in flat) + tuple(
+            HullIdempotent((b,), self.matrix.rows[b]) for b in _bits(v & ~inner)
+        )
+
+    def label_covers(self, v: int) -> tuple[HullIdempotent, ...]:
+        """The covers that label v: all but the F-type ones (each the
+        representative of its own class) whose class is below v."""
+        return tuple(f for f in self.covers(v) if f.word or not self.leq(f.vec, v))
 
 
 def _bits(x: int):
@@ -164,13 +174,13 @@ def _bits(x: int):
 
 
 def build_order(T: TransitionMatrix) -> CoreOrder:
-    """Transitive-reflexive closure of within-core comparabilities, plus
-    the meet table.  Antisymmetry is verified, never repaired.
+    """Transitive-reflexive closure of within-core comparabilities.
+    Antisymmetry and the meets are verified, never repaired.
 
     One kernel over class indices (positions in ``f_classes(T)``) and int
     bitsets over them.  It returns what the ``core_of_at`` reference gives
-    with the pair closure and the meet scan over its cores; the tests check
-    the two agree.
+    with the pair closure and the meet scan over its cores, and covers
+    equal to ``covers_below``; the tests check that they agree.
     """
     classes = f_classes(T)
     k = len(classes)
@@ -224,13 +234,12 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
                     f"{T.fmt_vec(classes[a])} ~ {T.fmt_vec(classes[b])}"
                 )
         pairs.update((classes[a], classes[b]) for a in _bits(down[b]))
-    meets: dict[tuple[int, int], int | None] = {}
+    # CoreOrder.meet relies on these checks
     for i, a in enumerate(classes):
         da = down[i]
         for j, b in enumerate(classes):
             lower = da & down[j]
             if not lower:
-                meets[(a, b)] = None
                 continue
             m = index.get(a & b)
             if m is None or not (lower >> m & 1):
@@ -241,8 +250,9 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
                 raise InvariantViolation(
                     f"AND class of {T.fmt_vec(a)}, {T.fmt_vec(b)} is not the glb"
                 )
-            meets[(a, b)] = classes[m]
-    return CoreOrder(T, classes, frozenset(pairs), meets, cores)
+    return CoreOrder(
+        T, classes, frozenset(pairs), cores, index, tuple(down), tuple(maxsub)
+    )
 
 
 def _core(

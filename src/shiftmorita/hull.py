@@ -137,7 +137,8 @@ def covers_below_at(
 
 
 def covers_below(T: TransitionMatrix, vec: int) -> tuple[HullIdempotent, ...]:
-    """Covers of the depth-0 idempotent of a follower class."""
+    """Covers of the depth-0 idempotent of a follower class: the reference
+    that ``CoreOrder.covers`` is checked against."""
     return covers_below_at(T, (), vec)
 
 

@@ -4,7 +4,9 @@ Vertices are the nonzero D-classes.  For each vertex a and each cover f of
 its representative that is not itself a representative of a class below a,
 there is one edge into a from every vertex below f's class, all carrying
 the label (a, f).  Equal labels force equal ranges by construction, which
-is the strongly-right-resolving property the path algebra relies on.
+is the strongly-right-resolving property the path algebra relies on.  The
+covers, their guard and the down-sets are read off the class order's
+bitsets (``CoreOrder.label_covers`` and ``CoreOrder.below``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core_order import CoreOrder, cached_order
-from .hull import HullIdempotent, covers_below, dclass_rep, fmt_idem
+from .hull import HullIdempotent, dclass_rep, fmt_idem
 from .shift import InvariantViolation, TransitionMatrix
 
 GREEK = "αβγδζηθικλμνξπρστυφχψω"
@@ -84,18 +86,7 @@ def build_graph(T: TransitionMatrix) -> LabelledGraph:
     labels: list[Label] = []
     edges: list[Edge] = []
     for a in order.classes:
-        for f in covers_below(T, a):
-            if f.word == ():
-                # F-type cover: it is the representative of its own class,
-                # so the guard reduces to that class not sitting below a.
-                if f.vec not in order.classes:
-                    raise InvariantViolation("F-type cover is not a class")
-                if order.leq(f.vec, a):
-                    continue
-            else:
-                # O-type cover: never equal to a class representative.
-                if len(f.word) != 1 or f.vec != T.rows[f.word[0]]:
-                    raise InvariantViolation("O-type cover is not a one-letter row")
+        for f in order.label_covers(a):
             lab = Label(a, f)
             labels.append(lab)
             for b in order.below(dclass_rep(f)):
@@ -105,8 +96,8 @@ def build_graph(T: TransitionMatrix) -> LabelledGraph:
     return LabelledGraph(T, order, tuple(labels), tuple(edges))
 
 
-def fmt_label(G: LabelledGraph, lab: Label) -> str:
-    return f"({G.vertex_name(lab.vertex)},{fmt_idem(G.matrix, lab.cover)})"
+def fmt_label(T: TransitionMatrix, lab: Label) -> str:
+    return f"({T.fmt_vec(lab.vertex)},{fmt_idem(T, lab.cover)})"
 
 
 def to_dot(G: LabelledGraph) -> str:
@@ -119,7 +110,7 @@ def to_dot(G: LabelledGraph) -> str:
         name = G.label_names[e.label]
         out.append(
             f'  "{G.vertex_name(e.source)}" -> "{G.vertex_name(e.range)}"'
-            f' [label="{name}={fmt_label(G, e.label)}"];'
+            f' [label="{name}={fmt_label(G.matrix, e.label)}"];'
         )
     out.append("}")
     return "\n".join(out) + "\n"

@@ -73,9 +73,10 @@ def parse_matrix(text: str) -> TransitionMatrix:
     """Parse the matrix file format; every defect gets its own diagnostic.
 
     Line 1: whitespace-separated symbols.  Lines 2..n+1: n characters of
-    '0'/'1' each (whitespace inside a row is ignored).
+    '0'/'1' each (whitespace inside a row is ignored).  One leading UTF-8
+    byte-order mark is dropped.
     """
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines or not lines[0].strip():

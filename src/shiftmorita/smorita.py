@@ -132,9 +132,7 @@ class CDSet:
         )
         cll: list[SIdem] = []
         for b in order.classes:
-            for f in covers_below(T, b):
-                if f.word == () and order.leq(f.vec, b):
-                    continue
+            for f in order.label_covers(b):
                 s = make_sidem(T, order, b, f)
                 if s.u != b:
                     raise InvariantViolation("guarded cover left its own class")

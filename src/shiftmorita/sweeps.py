@@ -98,10 +98,14 @@ def sweep_oracle(T: TransitionMatrix, depth: int = 6) -> list[str]:
 def sweep_order(T: TransitionMatrix) -> list[str]:
     """Criterion: order structure, meets, and the representative-product
     identity; also that the reference core fixpoint gives the order's cores
-    in either rule order."""
+    in either rule order, and the reference covering relation its covers."""
     fails: list[str] = []
     order = cached_order(T)
     for v in order.classes:
+        if order.covers(v) != covers_below(T, v):
+            fails.append(
+                f"covers of {T.fmt_vec(v)} differ from the reference on rows {T.rows}"
+            )
         for rule_order in ((4, 3, 2), (2, 3, 4)):
             ref = {e.vec for e in core_of_at(T, (), v, rule_order)}
             if ref != order.cores[v]:

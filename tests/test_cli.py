@@ -1,10 +1,16 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
 
 from shiftmorita.cli import main
 
 from conftest import DIAMOND_TEXT
+from test_shift import decorated_texts
 
 
 @pytest.fixture()
@@ -53,6 +59,28 @@ class TestFgraph:
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["fgraph", "/nonexistent.mx"]) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(decorated_texts(max_letters=3))
+    def test_decorated_file_gives_the_clean_report_or_exit_2(self, case):
+        T, text, strict = case
+        clean = " ".join(T.symbols) + "\n" + "\n".join(
+            "".join("1" if r >> j & 1 else "0" for j in range(T.n)) for r in T.rows
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            reports = []
+            for name, body in (("clean.mx", clean), ("decorated.mx", text)):
+                path = os.path.join(tmp, name)
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(body)
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(["fgraph", path])
+                reports.append((code, out.getvalue()))
+        if reports[1][0] == 2:
+            assert not strict and err.getvalue().startswith("error: ")
+        else:
+            assert reports[0][0] == 0 and reports[1] == reports[0]
 
 
 class TestOrderCommand:

@@ -5,14 +5,15 @@ from shiftmorita.core_order import (
     build_order,
     cached_order,
     check_meet_identity,
-    core_of,
     core_of_at,
 )
-from shiftmorita.hull import fclass_witness, idem_leq
+from shiftmorita.hull import covers_below, fclass_witness, idem_leq
+from shiftmorita.labelled_graph import build_graph
 from shiftmorita.shift import CACHE_MAXSIZE, TransitionMatrix, f_classes, natural_leq
 from shiftmorita.sweeps import all_matrices
 
 from conftest import mx, seeded_matrices
+from test_labelled_graph import graph_edges, independent_edges
 from test_shift import matrices
 
 
@@ -52,6 +53,13 @@ def reference_order(T):
             meets[(a, b)] = m
     core_vecs = {v: frozenset(e.vec for e in core) for v, core in cores.items()}
     return classes, frozenset(pairs), meets, core_vecs
+
+
+def core_of(T, v):
+    """The reference core of class v's depth-0 idempotent, as vectors."""
+    core = core_of_at(T, (), v)
+    assert all(e.word == () for e in core)
+    return {e.vec for e in core}
 
 
 class TestCore:
@@ -178,8 +186,29 @@ class TestKernelMatchesReference:
         classes, pairs, meets, cores = reference_order(T)
         assert order.classes == classes, T.rows
         assert order.pairs == pairs, T.rows
-        assert order.meets == meets, T.rows
+        for a in classes:
+            for b in classes:
+                assert order.meet(a, b) == meets[(a, b)], T.rows
         assert order.cores == cores, T.rows
+        hasse = []
+        for a, b in sorted(pairs):
+            if a != b and not any(
+                c not in (a, b) and (a, c) in pairs and (c, b) in pairs
+                for c in classes
+            ):
+                hasse.append((a, b))
+        assert order.hasse() == tuple(hasse), T.rows
+        for v in classes:
+            below = tuple(c for c in classes if (c, v) in pairs)
+            assert order.below(v) == below, T.rows
+            assert order.covers(v) == covers_below(T, v), T.rows
+        G = build_graph(T)
+        edges = independent_edges(T)
+        labels = {lab for _, lab, _ in edges}
+        assert graph_edges(G) == edges, T.rows
+        assert len(G.labels) == len(labels), T.rows
+        got = {(x.vertex, x.cover.word, x.cover.vec) for x in G.labels}
+        assert got == labels, T.rows
 
     def test_every_matrix_up_to_three_letters(self):
         for T in all_matrices(3):

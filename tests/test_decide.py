@@ -55,7 +55,16 @@ class TestIsomorphism:
         candidate for every other, and the search runs deeper than the
         interpreter's recursion limit."""
         classes = tuple(range(1, 1501))
-        order = CoreOrder(None, classes, frozenset((v, v) for v in classes), {}, {})
+        k = len(classes)
+        order = CoreOrder(
+            None,
+            classes,
+            frozenset((v, v) for v in classes),
+            {},
+            {v: i for i, v in enumerate(classes)},
+            tuple(1 << i for i in range(k)),
+            (0,) * k,
+        )
         G = LabelledGraph(None, order, (), ())
         w = graphs_isomorphic_ordered(G, G)
         assert w is not None
@@ -152,3 +161,33 @@ class TestFourLetterCrossCheck:
                     assert verify_witness(graphs[t1], graphs[t2], w)
                 c = cd_isomorphic(cds[t1], cds[t2])
                 assert (w is None) == (c is None)
+
+
+class TestProductionPath:
+    def test_reference_covers_are_never_called(self, monkeypatch, diamond):
+        """The graph, the CD and a cross-checked decide read their covers
+        off the class order; ``hull.covers_below_at`` is the reference the
+        sweeps and tests use, and the production path must not need it."""
+        import sys
+
+        from shiftmorita import hull
+        from shiftmorita.smorita import build_cd
+
+        def refuse(*args):
+            raise RuntimeError("the reference covering relation was called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("shiftmorita") and (
+                getattr(module, "covers_below_at", None) is hull.covers_below_at
+            ):
+                monkeypatch.setattr(module, "covers_below_at", refuse)
+        n = 6
+        full = (1 << n) - 1
+        j_minus_i = TransitionMatrix(
+            tuple("abcdef"), tuple(full & ~(1 << i) for i in range(n))
+        )
+        for T, perm in ((diamond, [2, 0, 1]), (j_minus_i, [3, 5, 0, 1, 4, 2])):
+            U = permuted_copy(T, perm)
+            assert len(build_graph(T).labels) == len(build_graph(U).labels)
+            assert len(build_cd(T).Cll) == len(build_cd(U).Cll)
+            assert decide_morita(T, U, cross_check=True).equivalent

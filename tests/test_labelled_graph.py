@@ -94,33 +94,38 @@ class TestBSet:
             diamond_graph.b_set(diamond.mask_of("a"))
 
 
-class TestEdgeSetSoundness:
-    def independent_edges(self, T):
-        """Re-enumerate the edge set straight from the definition."""
-        order = cached_order(T)
-        out = set()
-        for a in order.classes:
-            for f in covers_below(T, a):
-                is_rep = f.word == ()
-                if is_rep and order.leq(dclass_rep(f), a):
-                    continue
-                for b in order.classes:
-                    if order.leq(b, dclass_rep(f)):
-                        out.add((a, (a, f.word, f.vec), b))
-        return out
+def independent_edges(T):
+    """Re-enumerate the edge set straight from the definition, with the
+    covers from the ``covers_below`` reference."""
+    order = cached_order(T)
+    out = set()
+    for a in order.classes:
+        for f in covers_below(T, a):
+            is_rep = f.word == ()
+            if is_rep and order.leq(dclass_rep(f), a):
+                continue
+            for b in order.classes:
+                if order.leq(b, dclass_rep(f)):
+                    out.add((a, (a, f.word, f.vec), b))
+    return out
 
+
+def graph_edges(G):
+    """The edges of a graph in the form ``independent_edges`` gives."""
+    return {
+        (e.range, (e.label.vertex, e.label.cover.word, e.label.cover.vec), e.source)
+        for e in G.edges
+    }
+
+
+class TestEdgeSetSoundness:
     @pytest.mark.parametrize(
         "text",
         ["a b c\n110\n011\n111", "a\n1", "a b\n11\n01", "a b c\n111\n110\n100"],
     )
     def test_matches_independent_enumeration(self, text):
         T = mx(text)
-        G = build_graph(T)
-        got = {
-            (e.range, (e.label.vertex, e.label.cover.word, e.label.cover.vec), e.source)
-            for e in G.edges
-        }
-        assert got == self.independent_edges(T)
+        assert graph_edges(build_graph(T)) == independent_edges(T)
 
 
 class TestDot:

@@ -26,6 +26,32 @@ def matrices(max_letters=4):
     )
 
 
+@st.composite
+def decorated_texts(draw, max_letters=4):
+    """(T, text, strict): a matrix file for T written with a byte-order
+    mark, CRLF line ends, tabs and spaces inside rows, trailing blank lines
+    or blank interior lines, each drawn at random.  ``strict`` is False when
+    a blank interior line was drawn, which may be rejected."""
+    T = draw(matrices(max_letters))
+    blank = st.sampled_from(("", " ", "\t", " \t "))
+    lines = [draw(st.sampled_from((" ", "\t", "  "))).join(T.symbols)]
+    for r in T.rows:
+        sep = draw(st.sampled_from(("", " ", "\t", " \t")))
+        bits = sep.join("1" if r >> j & 1 else "0" for j in range(T.n))
+        lines.append(draw(blank) + bits + draw(blank))
+    strict = True
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines) - 1)), draw(blank))
+        strict = False
+    lines += draw(st.lists(blank, max_size=3))
+    text = draw(st.sampled_from(("\n", "\r\n"))).join(lines)
+    if draw(st.booleans()):
+        text += "\n"
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return T, text, strict
+
+
 class TestParse:
     def test_diamond_matrix(self, diamond):
         assert diamond.symbols == ("a", "b", "c")
@@ -69,6 +95,25 @@ class TestParse:
             for r in T.rows
         )
         assert parse_matrix(text) == T
+
+    def test_byte_order_mark_dropped(self, diamond):
+        T = parse_matrix("\ufeffa b c\r\n110\r\n011\r\n111\r\n")
+        assert T == diamond and T.index("a") == 0
+
+    @given(decorated_texts())
+    def test_decorated_text_gives_the_clean_matrix(self, case):
+        T, text, strict = case
+        try:
+            assert parse_matrix(text) == T
+        except MatrixFormatError:
+            assert not strict
+
+    @given(st.text())
+    def test_any_text_parses_or_raises_format_error(self, text):
+        try:
+            parse_matrix(text)
+        except MatrixFormatError:
+            pass
 
 
 class TestWords:
