@@ -10,7 +10,8 @@ graph, and it carries a meet with e_{a^b} = e_a AND e_b whenever nonzero.
 ``build_order`` computes the order with one kernel over class indices and
 int bitsets (the depth-0 cores as least fixpoints, Warshall's closure), and
 its ``CoreOrder`` keeps those bitsets: meets, down-sets, Hasse covers and the
-covers of each class representative are read off them.  ``core_of_at`` (the
+covers of each class representative are read off them, and the classes that
+contain each letter are collected on first use.  ``core_of_at`` (the
 core of any canonical idempotent) and ``hull.covers_below_at`` work on
 ``HullIdempotent`` sets; they are the references the tests and sweeps check
 the kernel against, and they validate the depth-0 restriction of the class
@@ -20,7 +21,7 @@ order against conjugated corners instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .hull import (
@@ -158,6 +159,16 @@ class CoreOrder:
         return tuple(HullIdempotent((), u) for u in flat) + tuple(
             HullIdempotent((b,), self.matrix.rows[b]) for b in _bits(v & ~inner)
         )
+
+    @cached_property
+    def letter_classes(self) -> tuple[int, ...]:
+        """Per letter, the bitset of the classes that contain it; computed
+        on first use, so ``build_order`` does not pay for it."""
+        out = [0] * self.matrix.n
+        for i, c in enumerate(self.classes):
+            for b in _bits(c):
+                out[b] |= 1 << i
+        return tuple(out)
 
     def label_covers(self, v: int) -> tuple[HullIdempotent, ...]:
         """The covers that label v: all but the F-type ones (each the
@@ -310,14 +321,23 @@ def cached_order(T: TransitionMatrix) -> CoreOrder:
 
 
 def check_meet_identity(T: TransitionMatrix, order: CoreOrder) -> bool:
-    """e_a e_b = e_{a^b} whenever the meet is nonzero, and whenever a and b
-    share an upper bound (zero meet then forces a zero product)."""
+    """``order.meet`` is the greatest common lower bound found by a scan over
+    ``order.pairs`` (None when there is none), and e_a e_b = e_{a^b}: the
+    meet is the AND class whenever it is nonzero, and a zero meet of two
+    classes with a common upper bound forces a zero product."""
+    below: dict[int, set[int]] = {v: set() for v in order.classes}
+    for lo, hi in order.pairs:
+        below[hi].add(lo)
     for a in order.classes:
         for b in order.classes:
             m = order.meet(a, b)
-            if m is not None:
-                if a & b != m:
+            lower = below[a] & below[b]
+            if lower:
+                glb = [c for c in lower if lower <= below[c]]
+                if glb != [m] or a & b != m:
                     return False
+            elif m is not None:
+                return False
             elif any(
                 order.leq(a, c) and order.leq(b, c) for c in order.classes
             ):

@@ -11,6 +11,12 @@ number of labels at the vertex whose cover lies in that class.
 profiles.  The graph search here and the CD search in ``smorita`` share it;
 each keeps its own finisher: the edge-level witness, re-verified edge by
 edge, or the full product table.
+
+``decide_morita`` takes both graphs from ``labelled_graph.cached_graph``, so
+that comparing many matrices against a few builds each graph once.  A
+negative verdict carries the first invariant that differs; the vertex
+profiles behind it are built only when the vertex, label and edge counts
+agree.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from itertools import permutations
 from typing import Iterator
 
 from .core_order import CoreOrder
-from .labelled_graph import Edge, Label, LabelledGraph, build_graph
+# build_graph stays a module attribute here, where bench/spans.py wraps it
+from .labelled_graph import Edge, Label, LabelledGraph, build_graph, cached_graph
 from .shift import InvariantViolation, TransitionMatrix
 
 # {(vertex, class): n}: n labels at the vertex have their cover in the class
@@ -239,18 +246,19 @@ def brute_force_isomorphic(G1: LabelledGraph, G2: LabelledGraph) -> bool:
 
 
 def _certificate(G1: LabelledGraph, G2: LabelledGraph) -> str:
-    """First invariant profile that distinguishes the graphs."""
-    checks = [
-        ("vertex count", len(G1.vertices), len(G2.vertices)),
-        ("label count", len(G1.labels), len(G2.labels)),
-        ("edge count", len(G1.edges), len(G2.edges)),
+    """First invariant that distinguishes the graphs, checked in order and
+    each computed only once the ones before it agree."""
+    checks = (
+        ("vertex count", lambda G: len(G.vertices)),
+        ("label count", lambda G: len(G.labels)),
+        ("edge count", lambda G: len(G.edges)),
         (
             "vertex profiles",
-            sorted(_Side(G1.order, _label_counts(G1)).profile.values()),
-            sorted(_Side(G2.order, _label_counts(G2)).profile.values()),
+            lambda G: sorted(_Side(G.order, _label_counts(G)).profile.values()),
         ),
-    ]
-    for name, x, y in checks:
+    )
+    for name, measure in checks:
+        x, y = measure(G1), measure(G2)
         if x != y:
             return f"{name} differs: {x} vs {y}"
     return "no order-compatible vertex bijection extends to an isomorphism"
@@ -259,10 +267,11 @@ def _certificate(G1: LabelledGraph, G2: LabelledGraph) -> str:
 def decide_morita(
     T1: TransitionMatrix, T2: TransitionMatrix, cross_check: bool = False
 ) -> Verdict:
-    """Build both labelled graphs and decide; optionally cross-check the
-    graph verdict against the combinatorial-data isomorphism search and
-    fail hard on disagreement."""
-    G1, G2 = build_graph(T1), build_graph(T2)
+    """Decide on the two labelled graphs, each built at most once per
+    matrix (``cached_graph``); optionally cross-check the graph verdict
+    against the combinatorial-data isomorphism search and fail hard on
+    disagreement.  The graphs are shared with later calls and only read."""
+    G1, G2 = cached_graph(T1), cached_graph(T2)
     witness = graphs_isomorphic_ordered(G1, G2)
     if cross_check:
         from .smorita import build_cd, cd_isomorphic

@@ -27,7 +27,7 @@ from .shift import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class HullIdempotent:
     word: Word
     vec: int

@@ -7,20 +7,26 @@ the label (a, f).  Equal labels force equal ranges by construction, which
 is the strongly-right-resolving property the path algebra relies on.  The
 covers, their guard and the down-sets are read off the class order's
 bitsets (``CoreOrder.label_covers`` and ``CoreOrder.below``).
+
+``cached_graph`` keeps the graph of each recent matrix, so that repeated
+decisions against one matrix build its graph once.  A graph is shared by
+every caller that gets it from the cache and is never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .core_order import CoreOrder, cached_order
 from .hull import HullIdempotent, dclass_rep, fmt_idem
-from .shift import InvariantViolation, TransitionMatrix
+from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix
 
 GREEK = "αβγδζηθικλμνξπρστυφχψω"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """(vertex, cover) pair; the cover's class fixes the source set."""
 
@@ -35,7 +41,7 @@ class Label:
         return (self.vertex, self.cover.key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     range: int
     label: Label
@@ -57,10 +63,12 @@ class LabelledGraph:
         self.vertices: tuple[int, ...] = order.classes
         self.labels = labels
         self.edges = edges
-        self.label_names = {
-            lab: (GREEK[i] if i < len(GREEK) else f"L{i}")
-            for i, lab in enumerate(labels)
-        }
+        self.label_names = MappingProxyType(
+            {
+                lab: (GREEK[i] if i < len(GREEK) else f"L{i}")
+                for i, lab in enumerate(labels)
+            }
+        )
         self._check()
 
     def _check(self) -> None:
@@ -94,6 +102,13 @@ def build_graph(T: TransitionMatrix) -> LabelledGraph:
     labels.sort(key=Label.key)
     edges.sort(key=lambda e: (e.label.key(), e.source))
     return LabelledGraph(T, order, tuple(labels), tuple(edges))
+
+
+@lru_cache(maxsize=CACHE_MAXSIZE)
+def cached_graph(T: TransitionMatrix) -> LabelledGraph:
+    """``build_graph(T)``, built once per matrix while it stays among the
+    most recently used."""
+    return build_graph(T)
 
 
 def fmt_label(T: TransitionMatrix, lab: Label) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core_order import CoreOrder, cached_order
+from .core_order import CoreOrder, _bits, cached_order
 from .decide import order_isomorphisms
 from .hull import (
     HullIdempotent,
@@ -53,34 +53,37 @@ def make_sidem(
     """Normalize [u, g, u] to its least equivalent outer class.
 
     Valid classes for the middle g are those whose representative sits
-    above g; the equality class of [u, g, u] is closed under meets, so the
-    fold of the connected valid classes is the canonical representative.
+    above g: the classes that contain g's letter, or every letter of g's
+    vector when g's word is empty.  The equality class of [u, g, u] is
+    closed under meets, so the fold of the valid classes connected to u by
+    nonzero meets is the canonical representative.  The group grows while
+    a valid class's down-set meets the union of the group's down-sets.
     """
     if g is None:
         return None
     if len(g.word) > 1:
         raise ValueError("middles are restricted to word length <= 1")
-    if u not in order.classes or not idem_leq(T, g, base_idem(T, u)):
+    valid = (1 << len(order.classes)) - 1
+    for b in g.word or _bits(g.vec):
+        valid &= order.letter_classes[b]
+    i = order.index.get(u)
+    if i is None or not valid >> i & 1:
         raise ValueError("middle does not sit below the outer class")
-    valid = [
-        v for v in order.classes if idem_leq(T, g, base_idem(T, v))
-    ]
-    group = {u}
-    changed = True
-    while changed:
-        changed = False
-        for v in valid:
-            if v not in group and any(
-                order.meet(v, w) is not None for w in group
-            ):
-                group.add(v)
-                changed = True
-    least = None
-    for v in group:
-        least = v if least is None else order.meet(least, v)
+    group, reach = 1 << i, order.down[i]
+    grown = True
+    while grown:
+        grown = False
+        for j in _bits(valid & ~group):
+            if order.down[j] & reach:
+                group |= 1 << j
+                reach |= order.down[j]
+                grown = True
+    least = u
+    for j in _bits(group):
+        least = order.meet(least, order.classes[j])
         if least is None:
             raise InvariantViolation("equality class of a triple has no meet")
-    if least not in group or not idem_leq(T, g, base_idem(T, least)):
+    if not group >> order.index[least] & 1:
         raise InvariantViolation("least equivalent class does not carry the middle")
     return SIdem(least, g)
 

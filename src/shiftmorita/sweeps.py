@@ -29,7 +29,7 @@ from .hull import (
     idem_product,
     make_idem,
 )
-from .labelled_graph import LabelledGraph, build_graph
+from .labelled_graph import build_graph
 from .lgis import run_axiom_suite
 from .oracle import Oracle, compose
 from .shift import TransitionMatrix, f_classes, natural_leq
@@ -233,7 +233,6 @@ def make_cref(cd: CDSet, v: int):
 
 def sweep_decision_pairs(
     matrices: list[TransitionMatrix],
-    graphs: "dict[TransitionMatrix, LabelledGraph] | None" = None,
 ) -> tuple[list[str], int, int]:
     """Criterion: over all unordered pairs, the pruned graph search, the
     all-bijections brute force and the CD-isomorphism search agree.
@@ -241,11 +240,8 @@ def sweep_decision_pairs(
     Returns (failures, pairs checked, equivalent pairs).
     """
     fails: list[str] = []
-    graphs = graphs or {}
-    cds: dict[TransitionMatrix, CDSet] = {}
-    for T in matrices:
-        graphs.setdefault(T, build_graph(T))
-        cds[T] = build_cd(T)
+    graphs = {T: build_graph(T) for T in matrices}
+    cds = {T: build_cd(T) for T in matrices}
     equal = 0
     total = 0
     for T1, T2 in combinations(matrices, 2):

@@ -8,7 +8,7 @@ from shiftmorita.core_order import (
     core_of_at,
 )
 from shiftmorita.hull import covers_below, fclass_witness, idem_leq
-from shiftmorita.labelled_graph import build_graph
+from shiftmorita.labelled_graph import build_graph, cached_graph
 from shiftmorita.shift import CACHE_MAXSIZE, TransitionMatrix, f_classes, natural_leq
 from shiftmorita.sweeps import all_matrices
 
@@ -229,7 +229,8 @@ class TestBoundedCaches:
             f_classes(T)
             cached_order(T)
             fclass_witness(T, 1)
-        for cache in (f_classes, cached_order, fclass_witness):
+            cached_graph(T)
+        for cache in (f_classes, cached_order, fclass_witness, cached_graph):
             info = cache.cache_info()
             assert info.maxsize == CACHE_MAXSIZE
             assert info.currsize <= info.maxsize

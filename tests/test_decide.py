@@ -1,14 +1,17 @@
 import random
 import time
 
+import pytest
+
 from shiftmorita.core_order import CoreOrder, build_order
 from shiftmorita.decide import (
+    _certificate,
     brute_force_isomorphic,
     decide_morita,
     graphs_isomorphic_ordered,
     verify_witness,
 )
-from shiftmorita.labelled_graph import LabelledGraph, build_graph
+from shiftmorita.labelled_graph import LabelledGraph, build_graph, cached_graph
 from shiftmorita.shift import TransitionMatrix
 from shiftmorita.sweeps import all_matrices, permuted_copy
 
@@ -135,6 +138,58 @@ class TestDecide:
             build_graph(permuted_copy(diamond, [2, 0, 1])),
             v.witness,
         )
+
+
+class TestGraphCache:
+    def test_repeated_decides_build_each_graph_once(self):
+        """Bucketing-style traffic: several matrices, each decided twice
+        against one representative.  Every matrix is a cache miss once, and
+        each witness still verifies on freshly built graphs."""
+        rep = TransitionMatrix(("p", "q", "r"), (3, 6, 7))  # the diamond
+        others = [rep] + [
+            permuted_copy(rep, perm) for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0])
+        ]
+        others += [TransitionMatrix(("p", "q"), (3, 3))]
+        misses = cached_graph.cache_info().misses
+        for _ in range(2):
+            for T in others:
+                v = decide_morita(T, rep)
+                assert v.equivalent == (T.n == 3)
+                if v.equivalent:
+                    assert verify_witness(build_graph(T), build_graph(rep), v.witness)
+        assert cached_graph.cache_info().misses - misses == len(set(others))
+        assert cached_graph(rep) is cached_graph(rep)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "text1, text2, certificate",
+        [
+            ("a\n1", "a b\n10\n01", "vertex count differs: 1 vs 2"),
+            ("a\n1", "a b\n11\n11", "label count differs: 1 vs 2"),
+            (
+                "a b c\n110\n101\n111",
+                "a b c d\n1000\n1100\n1010\n1110",
+                "edge count differs: 8 vs 5",
+            ),
+            (
+                "a b\n10\n01",
+                "a b c\n100\n100\n010",
+                "vertex profiles differs: [(1, 1, 1, (1,)), (1, 1, 1, (1,))]"
+                " vs [(1, 1, 0, (1,)), (1, 1, 2, (1,))]",
+            ),
+            (
+                "a b\n10\n01",
+                "a b\n01\n10",
+                "no order-compatible vertex bijection extends to an isomorphism",
+            ),
+        ],
+    )
+    def test_first_differing_invariant(self, text1, text2, certificate):
+        T1, T2 = mx(text1), mx(text2)
+        assert _certificate(build_graph(T1), build_graph(T2)) == certificate
+        v = decide_morita(T1, T2)
+        assert not v.equivalent and v.certificate == certificate
 
 
 class TestFourLetterCrossCheck:

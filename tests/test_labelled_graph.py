@@ -128,6 +128,14 @@ class TestEdgeSetSoundness:
         assert graph_edges(build_graph(T)) == independent_edges(T)
 
 
+class TestSharedGraph:
+    def test_label_names_are_read_only(self, diamond_graph):
+        lab = diamond_graph.labels[0]
+        assert diamond_graph.label_names[lab] == "α"
+        with pytest.raises(TypeError):
+            diamond_graph.label_names[lab] = "β"
+
+
 class TestDot:
     def test_deterministic(self, diamond):
         assert to_dot(build_graph(diamond)) == to_dot(build_graph(diamond))

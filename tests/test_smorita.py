@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from shiftmorita.core_order import cached_order
-from shiftmorita.hull import base_idem, dclass_rep, make_idem
+from shiftmorita.hull import base_idem, dclass_rep, enumerate_idems, idem_leq, make_idem
+from shiftmorita.shift import InvariantViolation
 from shiftmorita.smorita import (
+    SIdem,
     build_cd,
     cd_isomorphic,
     coherent_check,
@@ -11,9 +15,9 @@ from shiftmorita.smorita import (
     sidem_leq,
     sidem_product,
 )
-from shiftmorita.sweeps import permuted_copy
+from shiftmorita.sweeps import all_matrices, permuted_copy
 
-from conftest import mx
+from conftest import mx, seeded_matrices
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +172,68 @@ class TestCDIso:
         sigma = w["classes"]
         for x, y in w["elements"].items():
             assert sigma[cd1.dtag(x)] == cd2.dtag(y)
+
+
+def reference_make_sidem(T, order, u, g):
+    """``make_sidem`` on ``HullIdempotent`` comparisons: the valid classes
+    by ``idem_leq`` against every class representative, and the group
+    grown by pairwise meets."""
+    if g is None:
+        return None
+    if len(g.word) > 1:
+        raise ValueError("middles are restricted to word length <= 1")
+    if u not in order.classes or not idem_leq(T, g, base_idem(T, u)):
+        raise ValueError("middle does not sit below the outer class")
+    valid = [v for v in order.classes if idem_leq(T, g, base_idem(T, v))]
+    group = {u}
+    changed = True
+    while changed:
+        changed = False
+        for v in valid:
+            if v not in group and any(
+                order.meet(v, w) is not None for w in group
+            ):
+                group.add(v)
+                changed = True
+    least = None
+    for v in group:
+        least = v if least is None else order.meet(least, v)
+        if least is None:
+            raise InvariantViolation("equality class of a triple has no meet")
+    if least not in group or not idem_leq(T, g, base_idem(T, least)):
+        raise InvariantViolation("least equivalent class does not carry the middle")
+    return SIdem(least, g)
+
+
+class TestMakeSidemMatchesReference:
+    @staticmethod
+    def outcome(fn, T, order, u, g):
+        try:
+            return fn(T, order, u, g)
+        except (ValueError, InvariantViolation) as ex:
+            return type(ex), str(ex)
+
+    def test_every_call_up_to_three_letters_and_a_seeded_sample(self):
+        """Every (class, middle of word length <= 1 or None) at <= 3
+        letters, and 400 such calls per seeded 4-7-letter matrix: the same
+        triple or the same error."""
+        rng = random.Random(11)
+        small = list(all_matrices(3))
+        calls = errors = 0
+        for T in small + seeded_matrices():
+            order = cached_order(T)
+            pairs = [
+                (u, g)
+                for u in order.classes
+                for g in (None,) + enumerate_idems(T, 1)
+            ]
+            if T not in small and len(pairs) > 400:
+                pairs = rng.sample(pairs, 400)
+            for u, g in pairs:
+                want = self.outcome(reference_make_sidem, T, order, u, g)
+                assert self.outcome(make_sidem, T, order, u, g) == want, (
+                    T.rows, u, g,
+                )
+                calls += 1
+                errors += isinstance(want, tuple)
+        assert calls > 40000 and 0 < errors < calls
