@@ -8,24 +8,24 @@ graphs built here a labelled path is determined by consecutive-letter
 compatibility and every relative source is either empty or the source set
 of the final letter, so everything reduces to vertex-order lookups.
 
-``LgisEngine`` is the element algebra, one product at a time.  The axiom
-suite needs every product among thousands of elements, so
-``ProductTables`` fills its tables by path-pair gathers: a product depends
-on the two inner paths only through their prefix case and tail, which is
-computed once per path pair, and the middle vertex comes from numpy
-gathers over the vertex leq and meet tables.  ``LgisEngine.multiply`` is
-the reference the tests check every table cell against.
+``LgisEngine`` is the element algebra, one product at a time, and the
+reference the tests check every table cell against.  The axiom suite
+needs every product among thousands of elements, so ``ProductTables``
+fills its tables by path-pair gathers: a product depends on the two inner
+paths only through their prefix case and tail, computed once per path
+pair, and the middle vertex comes from numpy gathers over the vertex leq
+and meet tables, on the cells of comparable path pairs only.
 
-A representative-based relative source over raw edge lists is kept
-alongside as the oracle; ``check_resolving`` uses it so that hand-built
-counterexample graphs can be analysed too.
+A representative-based relative source over raw edge lists is kept as the
+oracle; ``check_resolving`` also works on raw edges, as bitmasks, so that
+hand-built counterexample graphs can be analysed too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from typing import Hashable, Iterable, Sequence
+from itertools import chain
+from typing import Hashable, Sequence
 
 from .labelled_graph import LabelledGraph
 from .shift import InvariantViolation
@@ -48,12 +48,9 @@ class RawGraph:
 
 
 def raw_of(G: LabelledGraph) -> RawGraph:
-    bfam = [frozenset()] + [frozenset(G.b_set(v)) for v in G.vertices]
-    return RawGraph(
-        tuple(G.vertices),
-        tuple((e.range, e.label, e.source) for e in G.edges),
-        tuple(bfam),
-    )
+    edges = tuple((e.range, e.label, e.source) for e in G.edges)
+    bfam = (frozenset(), *(frozenset(G.b_set(v)) for v in G.vertices))
+    return RawGraph(tuple(G.vertices), edges, bfam)
 
 
 def relative_source_raw(
@@ -61,13 +58,9 @@ def relative_source_raw(
 ) -> frozenset:
     """s(A, alpha) = sources of representatives of alpha with range in A,
     computed by walking the edge list letter by letter."""
-    if not alpha:
-        return frozenset(A)
     frontier = frozenset(A)
     for lab in alpha:
-        frontier = frozenset(
-            s for r, l, s in raw.edges if l == lab and r in frontier
-        )
+        frontier = frozenset(s for r, l, s in raw.edges if l == lab and r in frontier)
         if not frontier:
             break
     return frontier
@@ -77,18 +70,13 @@ def labelled_paths_raw(raw: RawGraph, maxlen: int) -> list[tuple]:
     """All label sequences of length 1..maxlen having a representative."""
     out: list[tuple] = []
     all_v = frozenset(raw.vertices)
-    level = [(lab,) for lab in raw.labels()
-             if relative_source_raw(raw, all_v, (lab,))]
+    level: list[tuple] = [()]
     for _ in range(maxlen):
-        if not level:
-            break
-        out.extend(level)
         level = [
-            p + (lab,)
-            for p in level
-            for lab in raw.labels()
+            p + (lab,) for p in level for lab in raw.labels()
             if relative_source_raw(raw, all_v, p + (lab,))
         ]
+        out.extend(level)
     return out
 
 
@@ -98,23 +86,44 @@ def check_resolving(raw: RawGraph, pathlen: int = 3) -> tuple[bool, bool]:
     Strong is the edge-wise label/range check; weak compares relative
     sources of intersections against intersections of relative sources for
     all pairs from the B family and all labelled paths up to ``pathlen``.
+    Vertex sets are int bitmasks, and the sources along a path extend those
+    along its prefix by one letter, as in ``relative_source_raw``.
     """
     ranges: dict[Hashable, Hashable] = {}
-    strong = True
-    for r, lab, _ in raw.edges:
-        if ranges.setdefault(lab, r) != r:
-            strong = False
-            break
-    weak = True
-    paths = labelled_paths_raw(raw, pathlen)
-    for A, B in iproduct(raw.bfamily, raw.bfamily):
-        for p in paths:
-            lhs = relative_source_raw(raw, A & B, p)
-            rhs = relative_source_raw(raw, A, p) & relative_source_raw(raw, B, p)
-            if lhs != rhs:
-                weak = False
-                return (weak, strong)
-    return (weak, strong)
+    strong = all(ranges.setdefault(lab, r) == r for r, lab, _ in raw.edges)
+    bit: dict[Hashable, int] = {}
+    for v in chain(raw.vertices, *raw.bfamily, *(e[::2] for e in raw.edges)):
+        bit.setdefault(v, 1 << len(bit))
+    moves = [
+        [(bit[r], bit[s]) for r, l, s in raw.edges if l == lab] for lab in raw.labels()
+    ]
+    fam = [sum(bit[v] for v in B) for B in raw.bfamily]
+    # every set compared; the first, all vertices, picks out the labelled paths
+    every = sum(bit[v] for v in set(raw.vertices))
+    sets = dict.fromkeys([every, *fam, *(a & b for a in fam for b in fam)])
+    pos = {m: i for i, m in enumerate(sets)}
+    rows: list[tuple[int, ...]] = []  # per labelled path, s(X, path) for X in pos
+    level = [tuple(pos)]
+    for _ in range(pathlen):
+        level = [
+            row for prev in level for edges in moves
+            if (row := tuple(_move(edges, m) for m in prev))[0]
+        ]
+        rows.extend(level)
+    checks = dict.fromkeys((pos[a & b], pos[a], pos[b]) for a in fam for b in fam)
+    for ab, a, b in checks:
+        if any(row[ab] != row[a] & row[b] for row in rows):
+            return (False, strong)
+    return (True, strong)
+
+
+def _move(edges: list[tuple[int, int]], m: int) -> int:
+    """The sources of the (range bit, source bit) edges whose range is in m."""
+    out = 0
+    for r, s in edges:
+        if r & m:
+            out |= s
+    return out
 
 
 class LgisEngine:
@@ -127,6 +136,9 @@ class LgisEngine:
         self.nlabels = len(G.labels)
         self.ranges = tuple(lab.vertex for lab in G.labels)
         self.srcs = tuple(lab.src_class for lab in G.labels)
+        # x x* and x* x per element, for the D check
+        self._xx: dict = {}
+        self._x_x: dict = {}
 
     # ----- paths -------------------------------------------------------
 
@@ -180,26 +192,27 @@ class LgisEngine:
             return None
         alpha, A, beta = x
         gamma, B, delta = y
-        if len(gamma) >= len(beta) and gamma[: len(beta)] == beta:
+        order = self.order
+        if gamma[: len(beta)] == beta:
+            # s(A, tail) meets B; s(A, tail) is A, the last source or empty
             tail = gamma[len(beta):]
-            mid = self._meet(self.relative_source(A, tail), B)
+            if tail:
+                if not order.leq(self.ranges[tail[0]], A):
+                    return None
+                A = self.srcs[tail[-1]]
+            mid = order.meet(A, B)
             return None if mid is None else (alpha + tail, mid, delta)
         if beta[: len(gamma)] == gamma:
+            # A meets s(B, tail), with tail nonempty
             tail = beta[len(gamma):]
-            mid = self._meet(A, self.relative_source(B, tail))
+            if not order.leq(self.ranges[tail[0]], B):
+                return None
+            mid = order.meet(A, self.srcs[tail[-1]])
             return None if mid is None else (alpha, mid, delta + tail)
         return None
 
-    def _meet(self, u: "int | None", v: "int | None") -> "int | None":
-        if u is None or v is None:
-            return None
-        return self.order.meet(u, v)
-
     def inverse(self, x: Element) -> Element:
-        if x is None:
-            return None
-        alpha, A, beta = x
-        return (beta, A, alpha)
+        return None if x is None else (x[2], x[1], x[0])
 
     def leq(self, x: Element, y: Element) -> bool:
         """x <= y iff x = (gamma.mu, A, delta.mu) with A inside s(B, mu)."""
@@ -227,14 +240,14 @@ class LgisEngine:
         return self.multiply(y, self.multiply(self.inverse(x), x)) == x
 
     def green(self, x: Element, y: Element, relation: str) -> bool:
-        got, _ = self.green_witness(x, y, relation)
-        return got
+        return self.green_witness(x, y, relation)[0]
 
     def green_witness(
         self, x: Element, y: Element, relation: str
     ) -> tuple[bool, Element]:
-        """Green's R/L/D tests; for D the connecting witness is returned
-        and re-verified algebraically."""
+        """Green's R/L/D tests; for D the connecting witness z is returned
+        and re-verified algebraically: z z* = x x* and z* z = y* y, with
+        x x* and y* y computed once per element."""
         if relation not in ("R", "L", "D"):
             raise ValueError(f"unknown relation {relation!r}")
         if x is None or y is None:
@@ -250,14 +263,13 @@ class LgisEngine:
         z = (ax, Ax, by)
         zz = self.multiply(z, self.inverse(z))
         z_z = self.multiply(self.inverse(z), z)
-        xx = self.multiply(x, self.inverse(x))
-        y_y = self.multiply(self.inverse(y), y)
-        if zz != xx or z_z != y_y:
+        if x not in self._xx:
+            self._xx[x] = self.multiply(x, self.inverse(x))
+        if y not in self._x_x:
+            self._x_x[y] = self.multiply(self.inverse(y), y)
+        if zz != self._xx[x] or z_z != self._x_x[y]:
             raise InvariantViolation("D-relation witness fails re-verification")
         return (True, z)
-
-    def idempotents(self, elements: Iterable[Element]) -> list[Element]:
-        return [e for e in elements if self.multiply(e, e) == e]
 
     def enumerate_elements(self, maxlen: int) -> list[Element]:
         """Zero plus every (alpha, A, beta) with path lengths <= maxlen,
@@ -280,6 +292,11 @@ class LgisEngine:
 _BITS = 21  # width of each packed key field: alpha id, beta id, middle vertex
 _MASK = (1 << _BITS) - 1
 _CHUNK = 1 << 12  # table cells per gather chunk; bounds the temporaries
+MAX_TABLE_CELLS = 1 << 24  # 64 MB of int32; no larger table is filled
+
+
+class TableSizeError(ValueError):
+    """A product table would have more than ``MAX_TABLE_CELLS`` cells."""
 
 
 class ProductTables:
@@ -298,9 +315,9 @@ class ProductTables:
     tail's first label and the source of its last label, as in
     ``LgisEngine.multiply``.  Each table computes those once per distinct
     path pair, then fills its cells in row chunks by numpy gathers over the
-    vertex leq and meet tables, whose extra last index is the empty set.
-    ``LgisEngine.multiply`` is the reference the tests check every cell
-    against.
+    vertex leq and meet tables, whose extra last index is the empty set,
+    on the cells of comparable path pairs only; the rest stay zero.  A
+    table over ``MAX_TABLE_CELLS`` cells raises ``TableSizeError`` unfilled.
     """
 
     def __init__(self, eng: LgisEngine, elems: Sequence[Element]):
@@ -327,8 +344,7 @@ class ProductTables:
         self._cats: dict[int, int] = {}  # packed (head, tail) -> path id
         self.keys: list[int] = []
         self._ids: dict[int, int] = {}
-        for e in elems:
-            self._intern(self._key(e))
+        self._intern([self._key(e) for e in elems])
         x = self._operands(len(elems))
         self.pair = self._table(x, x)
         u = self._operands(len(self.keys))
@@ -363,18 +379,15 @@ class ProductTables:
         if e is None:
             return -1
         alpha, A, beta = e
-        return (
-            self._path_id(alpha) << 2 * _BITS
-            | self._path_id(beta) << _BITS
-            | self._index[A]
-        )
+        path_ids = self._path_id(alpha) << _BITS | self._path_id(beta)
+        return path_ids << _BITS | self._index[A]
 
-    def _intern(self, key: int) -> int:
-        uid = self._ids.get(key)
-        if uid is None:
-            uid = self._ids[key] = len(self.keys)
-            self.keys.append(key)
-        return uid
+    def _intern(self, keys: list[int]) -> list[int]:
+        """The universe ids of ``keys``; new keys get the next ids in order."""
+        new = dict.fromkeys(k for k in keys if k not in self._ids)
+        self._ids.update(zip(new, range(len(self.keys), len(self.keys) + len(new))))
+        self.keys.extend(new)
+        return list(map(self._ids.__getitem__, keys))
 
     def _operands(self, m: int):
         """(alpha ids, middle indices, beta ids) of universe ids 0..m-1; zero
@@ -395,30 +408,24 @@ class ProductTables:
         with t nonempty, else 0; and the tail t's path id."""
         import numpy as np
 
-        case, tail = [], []
-        for b in betas.tolist():
-            bp = self.paths[b]
-            crow, trow = [], []
-            for g in gammas.tolist():
-                gp = self.paths[g]
+        rel = np.zeros((len(betas), len(gammas), 2), dtype=np.int64)
+        for i, bp in enumerate(self.paths[b] for b in betas.tolist()):
+            for j, gp in enumerate(self.paths[g] for g in gammas.tolist()):
                 if gp[: len(bp)] == bp:
-                    crow.append(1)
-                    trow.append(self._path_id(gp[len(bp):]))
+                    rel[i, j] = 1, self._path_id(gp[len(bp):])
                 elif bp[: len(gp)] == gp:
-                    crow.append(2)
-                    trow.append(self._path_id(bp[len(gp):]))
-                else:
-                    crow.append(0)
-                    trow.append(0)
-            case.append(crow)
-            tail.append(trow)
-        return np.array(case, dtype=np.int8), np.array(tail, dtype=np.int64)
+                    rel[i, j] = 2, self._path_id(bp[len(gp):])
+        return rel[..., 0].astype(np.int8), rel[..., 1]
 
     def _table(self, x, y):
         import numpy as np
 
         xa, xv, xb = x
         ya, yv, yb = y
+        if len(xa) * len(ya) > MAX_TABLE_CELLS:
+            raise TableSizeError(
+                f"a {len(xa)} x {len(ya)} product table exceeds {MAX_TABLE_CELLS} cells"
+            )
         betas, bi = np.unique(xb, return_inverse=True)
         gammas, gi = np.unique(ya, return_inverse=True)
         case, tail = self._relation(betas, gammas)
@@ -428,47 +435,46 @@ class ProductTables:
         out = np.empty((len(xa), len(ya)), dtype=np.int32)
         step = max(1, _CHUNK // max(1, len(ya)))
         for r in range(0, len(xa), step):
-            rows = slice(r, r + step)
-            c = case[bi[rows, None], gi]
-            t = tail[bi[rows, None], gi]
-            A = xv[rows, None]
+            # only the cells of comparable path pairs can be nonzero
+            block = case[bi[r:r + step, None], gi]
+            i, j = np.nonzero(block)
+            c, t = block[i, j], tail[bi[i + r], gi[j]]
+            i += r
+            A, B = xv[i], yv[j]
             f, s = first[t], last[t]
             # case 1 meets s(A, t) with B; case 2 meets A with s(B, t)
             sA = np.where(t == 0, A, np.where(self._leq[f, A], s, e))
-            sB = np.where(self._leq[f, yv], s, e)
-            mid = np.where(
-                c == 1,
-                self._meet[sA, yv],
-                np.where(c == 2, self._meet[A, sB], e),
+            sB = np.where(self._leq[f, B], s, e)
+            mid = np.where(c == 1, self._meet[sA, B], self._meet[A, sB])
+            live = np.flatnonzero(mid != e)
+            i, j, c, t, mid = i[live], j[live], c[live], t[live], mid[live]
+            alpha = self._concat(xa[i], t, c == 1)
+            delta = self._concat(yb[j], t, c == 2)
+            uniq, inv = np.unique(
+                alpha << 2 * _BITS | delta << _BITS | mid, return_inverse=True
             )
-            live = mid != e
-            alpha = self._concat(xa[rows, None], t, live & (c == 1))
-            delta = self._concat(yb, t, live & (c == 2))
-            keys = np.where(
-                live, alpha << 2 * _BITS | delta << _BITS | mid, -1
-            ).ravel()
-            uniq, inv = np.unique(keys, return_inverse=True)
-            ids = np.array([self._intern(k) for k in uniq.tolist()], dtype=np.int32)
-            out[rows] = ids[inv].reshape(t.shape)
+            chunk = out[r:r + step]
+            if len(live) < chunk.size:
+                chunk[...] = self._intern([-1])[0]  # zero, the least key, first
+            ids = np.array(self._intern(uniq.tolist()), dtype=np.int32)
+            chunk[i - r, j] = ids[inv]
         return out
 
     def _concat(self, head, tail, where):
         """head.tail as path ids on the cells ``where`` holds, head elsewhere."""
         import numpy as np
 
-        out = np.array(np.broadcast_to(head, tail.shape))
+        out = head.copy()
         sel = where & (tail != 0)
         if sel.any():
             uniq, inv = np.unique(out[sel] << 32 | tail[sel], return_inverse=True)
-            out[sel] = np.array([self._cat(p) for p in uniq.tolist()])[inv]
+            packed = uniq.tolist()
+            for p in packed:
+                if p not in self._cats:
+                    cat = self.paths[p >> 32] + self.paths[p & 0xFFFFFFFF]
+                    self._cats[p] = self._path_id(cat)
+            out[sel] = np.array(list(map(self._cats.__getitem__, packed)))[inv]
         return out
-
-    def _cat(self, packed: int) -> int:
-        pid = self._cats.get(packed)
-        if pid is None:
-            head, tail = self.paths[packed >> 32], self.paths[packed & 0xFFFFFFFF]
-            pid = self._cats[packed] = self._path_id(head + tail)
-        return pid
 
 
 def run_axiom_suite(
@@ -483,8 +489,9 @@ def run_axiom_suite(
     associativity, unique inverses, commuting idempotents, the Green
     characterizations, combinatoriality and 0-E-unitarity are read off
     them.  Green's D and the natural order are cross-checked by calling
-    ``LgisEngine.green`` and ``LgisEngine.leq`` on every pair, and both
-    resolving predicates run on the raw-edge oracle.
+    ``LgisEngine.green`` and ``LgisEngine.leq`` on every pair (the engine
+    computes x x* and y* y once per element), and both resolving predicates
+    run on the raw edges.  A table too large raises ``TableSizeError``.
     """
     import numpy as np
 
@@ -523,12 +530,8 @@ def run_axiom_suite(
 
     def struct_classes(side: int):
         codes: dict = {}
-        return np.array(
-            [
-                codes.setdefault(None if e is None else (e[side], e[1]), len(codes))
-                for e in elems
-            ]
-        )
+        keys = (None if e is None else (e[side], e[1]) for e in elems)
+        return np.array([codes.setdefault(k, len(codes)) for k in keys])
 
     def same_partition(a, b) -> bool:
         return bool(((a[:, None] == a) == (b[:, None] == b)).all())
@@ -547,9 +550,7 @@ def run_axiom_suite(
     results["combinatorial"] = len(dpairs) == n
 
     fixed = idems[idems != tab.id_of(None)]
-    results["zero_e_unitary"] = not bool(
-        (pair[:, fixed] == fixed)[~idem].any()
-    )
+    results["zero_e_unitary"] = not (pair[:, fixed] == fixed)[~idem].any()
 
     below = (left[:, x_x] == ar).T.tolist()  # below[i][j]: x_j x_i* x_i = x_i
     results["leq_agreement"] = all(
@@ -558,24 +559,20 @@ def run_axiom_suite(
         for y, b in zip(elems, row)
     )
 
-    weak, strong = check_resolving(raw_of(G), 3)
-    results["weakly_resolving"] = weak
-    results["strongly_resolving"] = strong
+    results["weakly_resolving"], results["strongly_resolving"] = check_resolving(
+        raw_of(G), 3
+    )
 
     if samples3:
         import random
 
         rng = random.Random(seed)
         deep = eng.enumerate_elements(maxlen + 1)
-        ok = True
-        for _ in range(samples3):
-            x, y, z = (rng.choice(deep) for _ in range(3))
-            if eng.multiply(x, eng.multiply(y, z)) != eng.multiply(
-                eng.multiply(x, y), z
-            ):
-                ok = False
-                break
-        results["associativity_sampled_deep"] = ok
+        triples = ([rng.choice(deep) for _ in range(3)] for _ in range(samples3))
+        mul = eng.multiply
+        results["associativity_sampled_deep"] = all(
+            mul(x, mul(y, z)) == mul(mul(x, y), z) for x, y, z in triples
+        )
 
     results["ok"] = all(v for k, v in results.items() if isinstance(v, bool))
     return results

@@ -130,6 +130,15 @@ class TestLgisCheck:
         assert ">= 0" in captured.err
 
 
+    def test_table_over_the_size_limit_exit_2(self, matrix_file, capsys):
+        # 8 211 elements at path length <= 4: the first table, 8 211 x 8 211
+        # cells, is over the limit, so none is allocated
+        assert main(["lgis-check", matrix_file, "--maxlen", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert "a 8211 x 8211 product table exceeds 16777216 cells" in captured.err
+
+
 class TestOracleCheck:
     def test_pass(self, matrix_file, capsys):
         assert main(["oracle-check", matrix_file, "--depth", "5"]) == 0

@@ -2,18 +2,20 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
 
 import shiftmorita
-from shiftmorita import sweeps
+from shiftmorita import lgis, sweeps
 
 from shiftmorita.labelled_graph import build_graph
 from shiftmorita.lgis import (
     LgisEngine,
     ProductTables,
     RawGraph,
+    TableSizeError,
     check_resolving,
     labelled_paths_raw,
     raw_of,
@@ -91,6 +93,16 @@ class TestRelativeSource:
                     ) == eng.relative_source(v, p)
 
 
+def small_graphs() -> list:
+    """Every graph with at most 2 letters and a seeded sample of twelve
+    3-letter graphs with at most 60 elements of path length <= 2."""
+    cheap = [
+        T for T in sweeps.all_matrices(3) if T.n == 3 and element_count(T) <= 60
+    ]
+    mats = [*sweeps.all_matrices(2), *random.Random(10).sample(cheap, 12)]
+    return [build_graph(T) for T in mats]
+
+
 def multiply_raw(eng, raw, x, y):
     """Product computed with representative-based relative sources."""
     G = eng.graph
@@ -141,12 +153,16 @@ class TestMultiply:
         y = eng.element((lx["gamma"],), diamond.mask_of("b"), ())
         assert eng.multiply(x, y) is None
 
-    def test_case_rules_match_representative_computation(self, diamond_graph, eng):
-        raw = raw_of(diamond_graph)
-        elems = eng.enumerate_elements(2)
-        for x in elems:
-            for y in elems:
-                assert eng.multiply(x, y) == multiply_raw(eng, raw, x, y)
+    def test_case_rules_match_representative_computation(self, diamond_graph):
+        # the diamond, every graph with at most 2 letters, and a seeded
+        # sample of 3-letter graphs
+        for G in [diamond_graph, *small_graphs()]:
+            e = LgisEngine(G)
+            raw = raw_of(G)
+            elems = e.enumerate_elements(2)
+            for x in elems:
+                for y in elems:
+                    assert e.multiply(x, y) == multiply_raw(e, raw, x, y), G.matrix.rows
 
 
 class TestInverse:
@@ -184,6 +200,20 @@ class TestLeq:
                 assert eng.leq(x, y) == eng.leq_algebraic(x, y)
 
 
+def literal_green_d(eng, x, y):
+    """Green's D with its witness z = (alpha_x, A, beta_y), re-verified by
+    four fresh engine products and no memo."""
+    if x is None or y is None:
+        return (x is None and y is None, None)
+    if x[1] != y[1]:
+        return (False, None)
+    z = (x[0], x[1], y[2])
+    mul, inv = eng.multiply, eng.inverse
+    assert mul(z, inv(z)) == mul(x, inv(x))
+    assert mul(inv(z), z) == mul(inv(y), y)
+    return (True, z)
+
+
 class TestGreen:
     def test_r_same_left_path_and_middle(self, diamond, diamond_graph, eng):
         lx = named_labels(diamond, diamond_graph)
@@ -211,6 +241,16 @@ class TestGreen:
                 )
                 assert eng.green(x, y, "R") == alg
 
+    def test_d_matches_four_fresh_products(self, diamond_graph):
+        # the engine computes x x* and y* y once per element; the reference
+        # recomputes all four products for every pair
+        for G in [diamond_graph, *small_graphs()]:
+            e = LgisEngine(G)
+            elems = e.enumerate_elements(2)
+            for x in elems:
+                for y in elems:
+                    assert e.green_witness(x, y, "D") == literal_green_d(e, x, y)
+
     def test_unknown_relation(self, eng):
         with pytest.raises(ValueError):
             eng.green(None, None, "H")
@@ -234,6 +274,77 @@ class TestEnumerate:
 
     def test_deterministic(self, eng):
         assert eng.enumerate_elements(2) == eng.enumerate_elements(2)
+
+
+def reference_check_resolving(raw: RawGraph, pathlen: int = 3) -> tuple[bool, bool]:
+    """``check_resolving`` by the definition, on frozensets of raw vertices:
+    relative sources from ``relative_source_raw`` for every pair from the B
+    family and every labelled path from ``labelled_paths_raw``."""
+    ranges: dict = {}
+    strong = True
+    for r, lab, _ in raw.edges:
+        if ranges.setdefault(lab, r) != r:
+            strong = False
+            break
+    paths = labelled_paths_raw(raw, pathlen)
+    for A, B in iproduct(raw.bfamily, raw.bfamily):
+        for p in paths:
+            lhs = relative_source_raw(raw, A & B, p)
+            rhs = relative_source_raw(raw, A, p) & relative_source_raw(raw, B, p)
+            if lhs != rhs:
+                return (False, strong)
+    return (True, strong)
+
+
+def random_raw(rng: random.Random) -> RawGraph:
+    """1-4 vertices, 1-3 labels, each possible edge with probability 0.4,
+    and the empty set plus 1-4 random vertex sets as the B family.  In one
+    graph in five, edges and B-sets may also use a piece that is not a
+    listed vertex."""
+    vertices = tuple(f"v{i}" for i in range(rng.randint(1, 4)))
+    pool = vertices + ("ghost",) * (rng.random() < 0.2)
+    labels = "xyz"[: rng.randint(1, 3)]
+    edges = tuple(
+        (r, lab, s)
+        for r in pool for lab in labels for s in pool
+        if rng.random() < 0.4
+    )
+    bfamily = [frozenset()] + [
+        frozenset(v for v in pool if rng.random() < 0.5)
+        for _ in range(rng.randint(1, 4))
+    ]
+    return RawGraph(vertices, edges, tuple(bfamily))
+
+
+class TestResolvingMatchesReference:
+    def test_seeded_hand_built_graphs(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(1000):
+            raw = random_raw(rng)
+            for pathlen in (1, 3):
+                got = check_resolving(raw, pathlen)
+                assert got == reference_check_resolving(raw, pathlen), raw
+                seen.add(got)
+        # every verdict pair occurs; strong implies weak, since a label with
+        # one range moves every set to the same source set or to nothing
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_built_graphs(self, diamond_graph):
+        for G in [diamond_graph, *small_graphs()]:
+            raw = raw_of(G)
+            assert check_resolving(raw) == (True, True)
+            assert reference_check_resolving(raw) == (True, True)
+
+    def test_weak_failure_by_hand(self):
+        # one label with ranges u and v and the same source w: the two
+        # B-sets are disjoint, yet each has the relative source {w}
+        raw = RawGraph(
+            ("u", "v", "w"),
+            (("u", "l", "w"), ("v", "l", "w")),
+            (frozenset(), frozenset({"u"}), frozenset({"v"})),
+        )
+        assert check_resolving(raw) == reference_check_resolving(raw) == (False, False)
 
 
 class TestResolving:
@@ -320,6 +431,21 @@ def assert_tables_match_engine(T):
 
 def element_count(T) -> int:
     return len(LgisEngine(build_graph(T)).enumerate_elements(2))
+
+
+class TestTableSizeGuard:
+    def test_raises_before_filling_a_table_over_the_limit(self, monkeypatch):
+        eng = LgisEngine(build_graph(mx("a b\n11\n11")))
+        elems = eng.enumerate_elements(1)
+        n = len(elems)
+        ProductTables(eng, elems)  # fits under the real limit
+        # pair (n x n) fits, left (n x |U1|) does not
+        monkeypatch.setattr(lgis, "MAX_TABLE_CELLS", n * n)
+        with pytest.raises(TableSizeError, match=f"a {n} x [0-9]+ product table"):
+            ProductTables(eng, elems)
+        monkeypatch.setattr(lgis, "MAX_TABLE_CELLS", n * n - 1)
+        with pytest.raises(TableSizeError, match=f"a {n} x {n} product table"):
+            ProductTables(eng, elems)
 
 
 class TestProductTables:
