@@ -10,8 +10,11 @@ graph, and it carries a meet with e_{a^b} = e_a AND e_b whenever nonzero.
 ``build_order`` computes the order with one kernel over class indices and
 int bitsets (the depth-0 cores as least fixpoints, Warshall's closure), and
 its ``CoreOrder`` keeps those bitsets: meets, down-sets, Hasse covers and the
-covers of each class representative are read off them, and the classes that
-contain each letter are collected on first use.  ``core_of_at`` (the
+covers of each class representative are read off them.  The set-up costs
+O(k·n) big-int operations for k classes and n letters, from one bitset per
+letter, and rule (4) runs on two running unions per core.  Rule (4) stays
+until it is proved to add nothing at depth 0 once rules (2) and (3) are
+closed, as the exhaustive checks so far find.  ``core_of_at`` (the
 core of any canonical idempotent) and ``hull.covers_below_at`` work on
 ``HullIdempotent`` sets; they are the references the tests and sweeps check
 the kernel against, and they validate the depth-0 restriction of the class
@@ -21,7 +24,7 @@ order against conjugated corners instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .hull import (
@@ -32,6 +35,10 @@ from .hull import (
     make_idem,
 )
 from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, Word, f_classes
+
+
+# {(v, c): n} on pairs of classes, as ``CountedOrder`` takes them
+Counts = dict[tuple[int, int], int]
 
 
 def core_of_at(
@@ -115,7 +122,8 @@ class CoreOrder:
     """Nonzero D-classes with the derived order, in the kernel's bitsets:
     class i is the mask ``classes[i]`` (``index`` inverts that), ``down[i]``
     and ``maxsub[i]`` are the bitsets of the classes below-or-equal it and of
-    its maximal proper subclasses, and ``pairs`` holds (lo, hi) with lo
+    its maximal proper subclasses, ``letter_classes[b]`` is the bitset of
+    the classes that contain letter b, and ``pairs`` holds (lo, hi) with lo
     below-or-equal hi."""
 
     matrix: TransitionMatrix
@@ -125,6 +133,7 @@ class CoreOrder:
     index: dict[int, int] = field(hash=False)
     down: tuple[int, ...] = field(hash=False)
     maxsub: tuple[int, ...] = field(hash=False)
+    letter_classes: tuple[int, ...] = field(hash=False)
 
     def leq(self, a: int, b: int) -> bool:
         return (a, b) in self.pairs
@@ -160,20 +169,51 @@ class CoreOrder:
             HullIdempotent((b,), self.matrix.rows[b]) for b in _bits(v & ~inner)
         )
 
-    @cached_property
-    def letter_classes(self) -> tuple[int, ...]:
-        """Per letter, the bitset of the classes that contain it; computed
-        on first use, so ``build_order`` does not pay for it."""
-        out = [0] * self.matrix.n
-        for i, c in enumerate(self.classes):
-            for b in _bits(c):
-                out[b] |= 1 << i
-        return tuple(out)
-
     def label_covers(self, v: int) -> tuple[HullIdempotent, ...]:
         """The covers that label v: all but the F-type ones (each the
         representative of its own class) whose class is below v."""
-        return tuple(f for f in self.covers(v) if f.word or not self.leq(f.vec, v))
+        below = self.down[self.index[v]]
+        return tuple(
+            f for f in self.covers(v) if f.word or not below >> self.index[f.vec] & 1
+        )
+
+
+class CountedOrder:
+    """A class order with counts on pairs (v, c) of classes (for a graph,
+    the labels at v with cover class c), as the isomorphism search reads it:
+    down- and up-sets as bitsets over class indices; per class, the counts
+    at it by c (``at``) and into it by v (``into``) as (class, n) pairs; and
+    each class's profile, an invariant of count-preserving isomorphisms."""
+
+    def __init__(self, order: CoreOrder, counts: Counts):
+        self.classes = classes = order.classes
+        index = order.index
+        self.down = down = order.down
+        up = [0] * len(classes)
+        for b, db in enumerate(down):
+            for a in _bits(db):
+                up[a] |= 1 << b
+        self.up = up
+        at: list[list[tuple[int, int]]] = [[] for _ in classes]
+        into: list[list[tuple[int, int]]] = [[] for _ in classes]
+        for (v, c), n in counts.items():
+            at[index[v]].append((c, n))
+            into[index[c]].append((v, n))
+        self.at = [tuple(x) for x in at]
+        self.into = [tuple(y) for y in into]
+        into_total = [sum(n for _, n in y) for y in into]
+        # (below, above, edges out of v, |down(class)| of each label at v)
+        self.profile = [
+            (
+                down[i].bit_count(),
+                up[i].bit_count(),
+                sum(into_total[j] for j in _bits(up[i])),
+                tuple(sorted(
+                    down[index[c]].bit_count() for c, n in at[i] for _ in range(n)
+                )),
+            )
+            for i in range(len(classes))
+        ]
 
 
 def _bits(x: int):
@@ -189,69 +229,89 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
     Antisymmetry and the meets are verified, never repaired.
 
     One kernel over class indices (positions in ``f_classes(T)``) and int
-    bitsets over them.  It returns what the ``core_of_at`` reference gives
-    with the pair closure and the meet scan over its cores, and covers
-    equal to ``covers_below``; the tests check that they agree.
+    bitsets over them.  With ``has[b]`` the classes that contain letter b,
+    class i's supersets are the AND of ``has[b]`` over its letters, its
+    subsets the AND of ``~has[b]`` over the other letters, and the classes
+    it meets the OR over its letters.  It returns what the ``core_of_at``
+    reference gives with the pair closure and the meet scan over its cores,
+    and covers equal to ``covers_below``; the tests check that they agree.
     """
     classes = f_classes(T)
     k = len(classes)
     index = {c: i for i, c in enumerate(classes)}
+    every = (1 << k) - 1
+    # has[b]: the classes that contain letter b
+    has = [0] * T.n
+    for i, c in enumerate(classes):
+        for b in _bits(c):
+            has[b] |= 1 << i
     # sub[i]/sup[i]: subset relation on masks (reflexive); inc[i]: classes
     # incomparable with i whose AND with i is nonzero.
-    sub = [1 << i for i in range(k)]
-    sup = sub.copy()
-    inc = [0] * k
-    # classes are sorted, so a later class is never a subset of an earlier one
-    for i, a in enumerate(classes):
-        for j in range(i + 1, k):
-            b = classes[j]
-            m = a & b
-            if m == a:
-                sub[j] |= 1 << i
-                sup[i] |= 1 << j
-            elif m:
-                inc[i] |= 1 << j
-                inc[j] |= 1 << i
+    sub, sup, inc = [], [], []
+    for c in classes:
+        below = above = every
+        meets = 0
+        for b, h in enumerate(has):
+            if c >> b & 1:
+                above &= h
+                meets |= h
+            else:
+                below &= ~h
+        sub.append(below)
+        sup.append(above)
+        inc.append(meets & ~below & ~above)
     # maxsub[i]: maximal proper subclasses of i
-    maxsub = [0] * k
+    maxsub = []
     for i in range(k):
         proper = sub[i] & ~(1 << i)
         lower = 0
         for j in _bits(proper):
             lower |= sub[j] & ~(1 << j)
-        maxsub[i] = proper & ~lower
+        maxsub.append(proper & ~lower)
 
     down = [0] * k
     cores = {}
     for v in range(k):
-        core = _core(v, classes, index, sub, sup, maxsub, inc)
-        for g in _bits(core):
+        core = rest = _core(v, classes, index, sub, sup, maxsub, inc)
+        members = []
+        while rest:
+            low = rest & -rest
+            g = low.bit_length() - 1
             down[g] |= sub[g] & core
-        cores[classes[v]] = frozenset(classes[j] for j in _bits(core))
+            members.append(classes[g])
+            rest ^= low
+        cores[classes[v]] = frozenset(members)
     # Warshall's closure: the order lies inside the subset relation, so only
     # the supersets of c can have c below them
     for c in range(k):
         dc = down[c]
-        for i in _bits(sup[c] & ~(1 << c)):
+        rest = sup[c] & ~(1 << c)
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
             if down[i] >> c & 1:
                 down[i] |= dc
+            rest ^= low
 
-    pairs = set()
+    pairs = []
     for b in range(k):
-        for a in _bits(down[b] & ~(1 << b)):
-            if down[a] >> b & 1:
+        hi = classes[b]
+        for a in _bits(down[b]):
+            if a != b and down[a] >> b & 1:
                 raise InvariantViolation(
                     f"class order is not antisymmetric: "
-                    f"{T.fmt_vec(classes[a])} ~ {T.fmt_vec(classes[b])}"
+                    f"{T.fmt_vec(classes[a])} ~ {T.fmt_vec(hi)}"
                 )
-        pairs.update((classes[a], classes[b]) for a in _bits(down[b]))
-    # CoreOrder.meet relies on these checks
+            pairs.append((classes[a], hi))
+    # CoreOrder.meet relies on these checks.  Both are symmetric in a and b,
+    # and hold for a = b since down-sets are reflexive.
     for i, a in enumerate(classes):
         da = down[i]
-        for j, b in enumerate(classes):
+        for j in range(i + 1, k):
             lower = da & down[j]
             if not lower:
                 continue
+            b = classes[j]
             m = index.get(a & b)
             if m is None or not (lower >> m & 1):
                 raise InvariantViolation(
@@ -262,7 +322,8 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
                     f"AND class of {T.fmt_vec(a)}, {T.fmt_vec(b)} is not the glb"
                 )
     return CoreOrder(
-        T, classes, frozenset(pairs), cores, index, tuple(down), tuple(maxsub)
+        T, classes, frozenset(pairs), cores, index, tuple(down), tuple(maxsub),
+        tuple(has),
     )
 
 
@@ -284,34 +345,36 @@ def _core(
     unless they are equal, and ((b,), row b) sits below every F-type cover
     ((), u) with b in u and has zero product with every other.  The rules
     are monotone, so the least fixpoint does not depend on their order.
+
+    Rule (4) runs on two running unions, of the members' supersets and of
+    their subsets; rule (2) ANDs each member with the members taken before
+    it, so with each other member once.
     """
-    core = 0
-    covers = 0
-    todo = [v]
+    core = covers = up = down = 0
+    todo = 1 << v
     while todo:
         while todo:
-            x = todo.pop()
-            if core >> x & 1:
-                continue
-            core |= 1 << x
+            low = todo & -todo
+            x = low.bit_length() - 1
+            todo ^= low
             covers |= maxsub[x]
-            cx = classes[x]
-            new = 0
+            # (4): a class above one member and below another
+            up |= sup[x]
+            down |= sub[x]
+            new = up & down
             # (2): ANDs with comparable members are members already
-            for y in _bits(inc[x] & core):
-                new |= 1 << index[cx & classes[y]]
-            # (4): intervals between x and its comparable members
-            hull = 0
-            for y in _bits(sub[x] & core):
-                hull |= sup[y]
-            new |= hull & sub[x]
-            hull = 0
-            for y in _bits(sup[x] & core):
-                hull |= sub[y]
-            new |= hull & sup[x]
-            todo.extend(_bits(new & ~core))
+            cx = classes[x]
+            rest = inc[x] & core
+            while rest:
+                low_y = rest & -rest
+                new |= 1 << index[cx & classes[low_y.bit_length() - 1]]
+                rest ^= low_y
+            core |= low
+            todo |= new & ~core
         # (3): a cover joins when it meets an incomparable cover
-        todo.extend(x for x in _bits(covers & ~core) if inc[x] & covers)
+        for x in _bits(covers & ~core):
+            if inc[x] & covers:
+                todo |= 1 << x
     return core
 
 

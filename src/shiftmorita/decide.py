@@ -10,7 +10,8 @@ number of labels at the vertex whose cover lies in that class.
 ``order_isomorphisms`` enumerates those bijections, pruned by vertex
 profiles.  The graph search here and the CD search in ``smorita`` share it;
 each keeps its own finisher: the edge-level witness, re-verified edge by
-edge, or the full product table.
+edge, or the full product table.  The graph search reads each graph's
+``counted_order``, built once per graph.
 
 ``decide_morita`` takes both graphs from ``labelled_graph.cached_graph``, so
 that comparing many matrices against a few builds each graph once.  A
@@ -25,13 +26,10 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .core_order import CoreOrder
+from .core_order import CoreOrder, CountedOrder, Counts, _bits
 # build_graph stays a module attribute here, where bench/spans.py wraps it
 from .labelled_graph import Edge, Label, LabelledGraph, build_graph, cached_graph
 from .shift import InvariantViolation, TransitionMatrix
-
-# {(vertex, class): n}: n labels at the vertex have their cover in the class
-Counts = dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -50,82 +48,63 @@ class Verdict:
     certificate: "str | None"
 
 
-def _label_groups(G: LabelledGraph) -> dict[tuple[int, int], list[Label]]:
-    """Labels per (range vertex, cover class), each group sorted."""
-    groups: dict[tuple[int, int], list[Label]] = {}
-    for lab in G.labels:
-        groups.setdefault((lab.vertex, lab.src_class), []).append(lab)
-    for group in groups.values():
-        group.sort(key=Label.key)
-    return groups
-
-
-def _label_counts(G: LabelledGraph) -> Counts:
-    """#labels per (range vertex, cover class)."""
-    return {key: len(group) for key, group in _label_groups(G).items()}
-
-
-class _Side:
-    """One side of the search.  For each vertex v, four maps {vertex:
-    multiplicity}: the classes below v, the classes above v, the labels at
-    v by cover class, and the labels whose cover lies in v by vertex; and
-    v's profile, an invariant of every count-preserving order isomorphism."""
-
-    def __init__(self, order: CoreOrder, counts: Counts):
-        rel = {v: ({}, {}, {}, {}) for v in order.classes}
-        for lo, hi in order.pairs:
-            rel[hi][0][lo] = rel[lo][1][hi] = 1
-        for (v, c), n in counts.items():
-            rel[v][2][c] = rel[c][3][v] = n
-        self.relations = rel
-        # (below, above, edges out of v, |down(class)| of each label at v)
-        self.profile = {
-            v: (
-                len(down),
-                len(up),
-                sum(sum(rel[c][3].values()) for c in up),
-                tuple(sorted(len(rel[c][0]) for c, n in at.items() for _ in range(n))),
-            )
-            for v, (down, up, at, _) in rel.items()
-        }
-
-
 def order_isomorphisms(
     o1: CoreOrder, counts1: Counts, o2: CoreOrder, counts2: Counts
 ) -> Iterator[dict[int, int]]:
     """Yield each order isomorphism sigma with counts2[(sigma a, sigma c)]
-    == counts1[(a, c)] for all classes a, c, depth-first with an explicit
-    stack.  Classes are fixed in ``o1.classes`` order; their candidates,
-    the classes of equal profile, are tried in ``o2.classes`` order and
-    kept when the order and the counts agree with every class fixed so far.
-    """
-    s1, s2 = _Side(o1, counts1), _Side(o2, counts2)
+    == counts1[(a, c)] for all classes a, c (see ``_search``)."""
+    return _search(CountedOrder(o1, counts1), CountedOrder(o2, counts2))
+
+
+def _search(s1: CountedOrder, s2: CountedOrder) -> Iterator[dict[int, int]]:
+    """The count-preserving order isomorphisms, depth-first with an
+    explicit stack.  Classes are fixed in ``s1.classes`` order; their
+    candidates, the classes of equal profile, are tried in ``s2.classes``
+    order and kept when the order and the counts agree with every class
+    fixed so far."""
     by_profile: dict[tuple, list[int]] = {}
-    for v in o2.classes:
-        by_profile.setdefault(s2.profile[v], []).append(v)
-    cands = [by_profile.get(s1.profile[a], []) for a in o1.classes]
-    if len(o1.classes) != len(o2.classes) or not all(cands):
+    for j, p in enumerate(s2.profile):
+        by_profile.setdefault(p, []).append(j)
+    cands = [by_profile.get(p, []) for p in s1.profile]
+    if len(s1.classes) != len(s2.classes) or not all(cands):
         return
     sigma: dict[int, int] = {}
     inverse: dict[int, int] = {}
+    # image[i]: the bit of s1's class i's image, 0 while unfixed
+    image = [0] * len(cands)
+    fixed = 0
 
-    def fits(a: int, v: int) -> bool:
+    def fits(i: int, j: int) -> bool:
+        for rel1, rel2 in ((s1.down, s2.down), (s1.up, s2.up)):
+            got = 0
+            for c in _bits(rel1[i] & ((2 << i) - 1)):  # s1 classes 0..i are fixed
+                got |= image[c]
+            if got != rel2[j] & fixed:
+                return False
         return all(
-            {sigma[b]: n for b, n in r1.items() if b in sigma}
-            == {w: n for w, n in r2.items() if w in inverse}
-            for r1, r2 in zip(s1.relations[a], s2.relations[v])
+            {sigma[c]: n for c, n in r1 if c in sigma}
+            == {w: n for w, n in r2 if w in inverse}
+            for r1, r2 in ((s1.at[i], s2.at[j]), (s1.into[i], s2.into[j]))
         )
 
     stack = [iter(cands[0])]
     while stack:
-        a = o1.classes[len(stack) - 1]
-        if a in sigma:
+        i = len(stack) - 1
+        a = s1.classes[i]
+        if image[i]:
             del inverse[sigma.pop(a)]
-        for v in stack[-1]:
-            if v not in inverse:
+            fixed ^= image[i]
+            image[i] = 0
+        for j in stack[-1]:
+            if not fixed >> j & 1:
+                v = s2.classes[j]
                 sigma[a], inverse[v] = v, a
-                if fits(a, v):
+                image[i] = 1 << j
+                fixed |= image[i]
+                if fits(i, j):
                     break
+                fixed ^= image[i]
+                image[i] = 0
                 del sigma[a], inverse[v]
         else:
             stack.pop()
@@ -139,30 +118,30 @@ def order_isomorphisms(
 def _extend_witness(
     G1: LabelledGraph, G2: LabelledGraph, pi0: dict[int, int]
 ) -> "IsoWitness | None":
-    """Build the forced label/edge bijections over a vertex bijection,
-    or None when the label groups do not match."""
-    by_key_2 = _label_groups(G2)
+    """Build the forced label/edge bijections over a vertex bijection, in
+    G1's (key) order, or None when the label groups do not match."""
+    by_key_2 = G2.label_groups()
     pi2: dict[Label, Label] = {}
-    for (a, c), group in sorted(_label_groups(G1).items()):
-        partners = by_key_2.get((pi0[a], pi0[c]), [])
+    for (a, c), group in G1.label_groups().items():
+        partners = by_key_2.get((pi0[a], pi0[c]), ())
         if len(partners) != len(group):
             return None
         pi2.update(zip(group, partners))
     if len(pi2) != len(G2.labels):
         return None
-    pi1: dict[Edge, Edge] = {
-        e: Edge(pi0[e.range], pi2[e.label], pi0[e.source]) for e in G1.edges
-    }
     witness = IsoWitness(
         tuple(sorted(pi0.items())),
-        tuple(sorted(pi2.items(), key=lambda p: p[0].key())),
-        tuple(sorted(pi1.items(), key=lambda p: p[0].label.key() + (p[0].source,))),
+        tuple((lab, pi2[lab]) for lab in G1.labels),
+        tuple(
+            (e, Edge(pi0[e.range], pi2[e.label], pi0[e.source])) for e in G1.edges
+        ),
     )
     return witness if verify_witness(G1, G2, witness) else None
 
 
 def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
-    """Full independent re-verification of all isomorphism conditions."""
+    """Full independent re-verification of all isomorphism conditions; the
+    vertex map must carry each down-set onto the down-set of the image."""
     pi0 = dict(w.vertex_map)
     pi2 = dict(w.label_map)
     pi1 = dict(w.edge_map)
@@ -174,14 +153,20 @@ def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
         pi2.values(), key=Label.key
     ) != list(G2.labels):
         return False
-    if len(pi1) != len(G1.edges) or len(set(pi1.values())) != len(G2.edges):
+    # set(pi1) reuses the dict's hashes, and set == set compares stored ones
+    images = set(pi1.values())
+    if len(pi1) != len(G1.edges) or len(images) != len(G2.edges):
         return False
-    if set(pi1) != set(G1.edges) or set(pi1.values()) != set(G2.edges):
+    if set(pi1) != set(G1.edges) or images != set(G2.edges):
         return False
-    for a in G1.vertices:
-        for b in G1.vertices:
-            if G1.order.leq(a, b) != G2.order.leq(pi0[a], pi0[b]):
-                return False
+    o1, o2 = G1.order, G2.order
+    image_bit = [1 << o2.index[pi0[a]] for a in o1.classes]
+    for i, a in enumerate(o1.classes):
+        image = 0
+        for c in _bits(o1.down[i]):
+            image |= image_bit[c]
+        if image != o2.down[o2.index[pi0[a]]]:
+            return False
     for e, f in pi1.items():
         if f.source != pi0[e.source]:
             return False
@@ -201,9 +186,7 @@ def graphs_isomorphic_ordered(
         return None
     if len(G1.labels) != len(G2.labels) or len(G1.edges) != len(G2.edges):
         return None
-    for pi0 in order_isomorphisms(
-        G1.order, _label_counts(G1), G2.order, _label_counts(G2)
-    ):
+    for pi0 in _search(G1.counted_order, G2.counted_order):
         witness = _extend_witness(G1, G2, pi0)
         if witness is not None:
             return witness
@@ -221,8 +204,8 @@ def brute_force_isomorphic(G1: LabelledGraph, G2: LabelledGraph) -> bool:
     if len(G1.labels) != len(G2.labels) or len(G1.edges) != len(G2.edges):
         return False
     o1, o2 = G1.order, G2.order
-    counts1 = _label_counts(G1)
-    counts2 = _label_counts(G2)
+    counts1 = G1.label_counts()
+    counts2 = G2.label_counts()
     v1, v2 = G1.vertices, G2.vertices
     for perm in permutations(range(n)):
         pi0 = {v1[i]: v2[perm[i]] for i in range(n)}
@@ -254,7 +237,7 @@ def _certificate(G1: LabelledGraph, G2: LabelledGraph) -> str:
         ("edge count", lambda G: len(G.edges)),
         (
             "vertex profiles",
-            lambda G: sorted(_Side(G.order, _label_counts(G)).profile.values()),
+            lambda G: sorted(G.counted_order.profile),
         ),
     )
     for name, measure in checks:

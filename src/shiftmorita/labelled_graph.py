@@ -6,7 +6,9 @@ there is one edge into a from every vertex below f's class, all carrying
 the label (a, f).  Equal labels force equal ranges by construction, which
 is the strongly-right-resolving property the path algebra relies on.  The
 covers, their guard and the down-sets are read off the class order's
-bitsets (``CoreOrder.label_covers`` and ``CoreOrder.below``).
+bitsets (``CoreOrder.label_covers`` and ``CoreOrder.below``), which list
+them in order, so the labels come out in ``Label.key`` order and the edges
+in (label, source) order without a sort.
 
 ``cached_graph`` keeps the graph of each recent matrix, so that repeated
 decisions against one matrix build its graph once.  A graph is shared by
@@ -16,10 +18,10 @@ every caller that gets it from the cache and is never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .core_order import CoreOrder, cached_order
+from .core_order import CoreOrder, CountedOrder, cached_order
 from .hull import HullIdempotent, dclass_rep, fmt_idem
 from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix
 
@@ -63,21 +65,41 @@ class LabelledGraph:
         self.vertices: tuple[int, ...] = order.classes
         self.labels = labels
         self.edges = edges
-        self.label_names = MappingProxyType(
-            {
-                lab: (GREEK[i] if i < len(GREEK) else f"L{i}")
-                for i, lab in enumerate(labels)
-            }
-        )
         self._check()
 
+    @cached_property
+    def label_names(self) -> MappingProxyType:
+        """Read-only {label: name}: Greek letters in label order, then L<i>."""
+        return MappingProxyType(
+            {
+                lab: (GREEK[i] if i < len(GREEK) else f"L{i}")
+                for i, lab in enumerate(self.labels)
+            }
+        )
+
+    def label_groups(self) -> dict[tuple[int, int], list[Label]]:
+        """Labels per (range vertex, cover class), in ``labels`` order."""
+        groups: dict[tuple[int, int], list[Label]] = {}
+        for lab in self.labels:
+            groups.setdefault((lab.vertex, lab.src_class), []).append(lab)
+        return groups
+
+    def label_counts(self) -> dict[tuple[int, int], int]:
+        """#labels per (range vertex, cover class)."""
+        return {key: len(group) for key, group in self.label_groups().items()}
+
+    @cached_property
+    def counted_order(self) -> CountedOrder:
+        """The vertex order with the label counts, for the search; built
+        once per graph."""
+        return CountedOrder(self.order, self.label_counts())
+
     def _check(self) -> None:
-        ranges: dict[Label, int] = {}
+        """Each edge's label is at its range, so equal labels (equal
+        ``vertex``) have equal ranges: strongly right-resolving."""
         for e in self.edges:
             if e.label.vertex != e.range:
                 raise InvariantViolation("edge label disagrees with its range")
-            if ranges.setdefault(e.label, e.range) != e.range:
-                raise InvariantViolation("equal labels with distinct ranges")
 
     def b_set(self, v: int) -> tuple[int, ...]:
         """B_v: every vertex at or below v in the class order."""
@@ -97,10 +119,7 @@ def build_graph(T: TransitionMatrix) -> LabelledGraph:
         for f in order.label_covers(a):
             lab = Label(a, f)
             labels.append(lab)
-            for b in order.below(dclass_rep(f)):
-                edges.append(Edge(a, lab, b))
-    labels.sort(key=Label.key)
-    edges.sort(key=lambda e: (e.label.key(), e.source))
+            edges.extend(Edge(a, lab, b) for b in order.below(dclass_rep(f)))
     return LabelledGraph(T, order, tuple(labels), tuple(edges))
 
 

@@ -142,12 +142,3 @@ class Oracle:
         """
         lim = self.depth - 1
         return {x: y for x, y in m.items() if len(x) <= lim and len(y) <= lim}
-
-
-def dump_map(T: TransitionMatrix, m: PartialMap) -> str:
-    """Sorted ``input -> output`` lines, for golden tests."""
-    lines = [
-        f"{T.fmt_word(x)} -> {T.fmt_word(y)}"
-        for x, y in sorted(m.items())
-    ]
-    return "\n".join(lines)

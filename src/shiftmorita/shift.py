@@ -115,7 +115,14 @@ def parse_matrix(text: str) -> TransitionMatrix:
 
 
 def parse_word(T: TransitionMatrix, text: str) -> Word:
-    """Read a word as a string of single-character symbols."""
+    """Read a word as a string of single-character symbols.  Over an
+    alphabet with a longer symbol such a string is ambiguous, so it is
+    refused; pass a sequence of letter indices instead."""
+    if any(len(s) != 1 for s in T.symbols):
+        raise ValueError(
+            "string words need single-character symbols; "
+            "pass a sequence of letter indices instead"
+        )
     return tuple(T.index(ch) for ch in text)
 
 
@@ -133,14 +140,6 @@ def word_allowed(T: TransitionMatrix, w: "str | Sequence[int]") -> bool:
     """True iff w is empty or every consecutive transition is permitted."""
     word = as_word(T, w)
     return all(T.rows[a] >> b & 1 for a, b in zip(word, word[1:]))
-
-
-def follower_of(T: TransitionMatrix, a: "str | int") -> int:
-    """The follower vector (row bitmask) of a single letter."""
-    i = T.index(a) if isinstance(a, str) else a
-    if not 0 <= i < T.n:
-        raise ValueError(f"letter index {i} out of range")
-    return T.rows[i]
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

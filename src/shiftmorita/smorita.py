@@ -147,10 +147,11 @@ class CDSet:
         if set(self.C) & set(self.Cll):
             raise InvariantViolation("C and Cll are not disjoint")
         self.elements: tuple[SIdem, ...] = self.C + self.Cll
+        self._members = frozenset(self.elements)
 
     def product(self, x: "SIdem | None", y: "SIdem | None") -> "SIdem | None":
         p = sidem_product(self.matrix, self.order, x, y)
-        if p is not None and p not in self.elements:
+        if p is not None and p not in self._members:
             raise InvariantViolation(
                 f"CD is not closed under products: {self.fmt(x)} * {self.fmt(y)}"
             )

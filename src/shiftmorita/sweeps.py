@@ -14,7 +14,6 @@ from itertools import combinations, product as iproduct
 
 from .core_order import cached_order, check_meet_identity, core_of_at
 from .decide import (
-    _label_counts,
     brute_force_isomorphic,
     decide_morita,
     graphs_isomorphic_ordered,
@@ -200,7 +199,7 @@ def sweep_cd(T: TransitionMatrix) -> list[str]:
         fails.append("coherent_check failed")
     cd = build_cd(T)
     group_sizes = {k: len(g) for k, g in cd.cover_groups().items()}
-    if group_sizes != _label_counts(build_graph(T)):
+    if group_sizes != build_graph(T).label_counts():
         fails.append("guarded-cover groups differ from the graph's label counts")
     order = cd.order
     for x in cd.C:

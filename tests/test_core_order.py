@@ -9,7 +9,13 @@ from shiftmorita.core_order import (
 )
 from shiftmorita.hull import covers_below, fclass_witness, idem_leq
 from shiftmorita.labelled_graph import build_graph, cached_graph
-from shiftmorita.shift import CACHE_MAXSIZE, TransitionMatrix, f_classes, natural_leq
+from shiftmorita.shift import (
+    CACHE_MAXSIZE,
+    InvariantViolation,
+    TransitionMatrix,
+    f_classes,
+    natural_leq,
+)
 from shiftmorita.sweeps import all_matrices
 
 from conftest import mx, seeded_matrices
@@ -219,6 +225,70 @@ class TestKernelMatchesReference:
         assert len(sample) >= 150
         for T in sample:
             self.check(T)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_j_minus_i(self, n):
+        # every letter may follow every other: 2^n - 2 classes
+        full = (1 << n) - 1
+        self.check(
+            TransitionMatrix(
+                tuple("abcde"[:n]), tuple(full & ~(1 << i) for i in range(n))
+            )
+        )
+
+
+class TestOrderChecks:
+    """``build_order`` verifies what ``CoreOrder.meet`` relies on.  Real
+    cores never break it, so each test hands the closure a broken core."""
+
+    # classes {b}, {b,c}, {a,b,c}, {b,c,d}; {b,c} is the AND of the two tops
+    T = TransitionMatrix(tuple("abcd"), (0b0111, 0b1110, 0b0010, 0b0110))
+
+    @staticmethod
+    def cores(monkeypatch, T, members):
+        """Make the core of class i the classes ``members[i]`` (masks)."""
+        import shiftmorita.core_order as co
+
+        classes = f_classes(T)
+
+        def core(v, *args):
+            own = members.get(classes[v], [classes[v]])
+            return sum(1 << classes.index(c) for c in own)
+
+        monkeypatch.setattr(co, "_core", core)
+
+    def test_meet_outside_the_common_lower_bounds(self, monkeypatch):
+        # {b} below both tops, their AND {b,c} below neither
+        self.cores(
+            monkeypatch, self.T, {0b0111: [0b0111, 0b0010], 0b1110: [0b1110, 0b0010]}
+        )
+        with pytest.raises(InvariantViolation, match="is not the AND class"):
+            build_order(self.T)
+
+    def test_meet_not_the_greatest_lower_bound(self, monkeypatch):
+        # {b} and {b,c} both below both tops, but no core holds {b} and {b,c}
+        tops = [0b0111, 0b1110]
+        self.cores(
+            monkeypatch,
+            self.T,
+            {
+                0b0010: [0b0010] + tops,
+                0b0111: [0b0111, 0b0110],
+                0b1110: [0b1110, 0b0110],
+            },
+        )
+        with pytest.raises(InvariantViolation, match="is not the glb"):
+            build_order(self.T)
+
+    def test_cycle(self, monkeypatch):
+        # a class listed twice is a subclass of itself both ways round
+        import shiftmorita.core_order as co
+
+        T = mx("a\n1")
+        monkeypatch.setattr(co, "f_classes", lambda T: (1, 1))
+        monkeypatch.setattr(co, "_core", lambda v, *args: 0b11)
+        with pytest.raises(InvariantViolation, match="not antisymmetric"):
+            build_order(T)
 
 
 class TestBoundedCaches:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -11,11 +12,79 @@ from shiftmorita.decide import (
     graphs_isomorphic_ordered,
     verify_witness,
 )
-from shiftmorita.labelled_graph import LabelledGraph, build_graph, cached_graph
+from shiftmorita.labelled_graph import (
+    Edge,
+    Label,
+    LabelledGraph,
+    build_graph,
+    cached_graph,
+)
 from shiftmorita.shift import TransitionMatrix
 from shiftmorita.sweeps import all_matrices, permuted_copy
 
 from conftest import mx
+
+
+def reference_verify_witness(G1, G2, w):
+    """``verify_witness`` as it was before the bitset order check: the
+    order through n² ``leq`` lookups, and the edge sets rebuilt per check."""
+    pi0 = dict(w.vertex_map)
+    pi2 = dict(w.label_map)
+    pi1 = dict(w.edge_map)
+    if sorted(pi0) != sorted(G1.vertices) or sorted(pi0.values()) != sorted(
+        G2.vertices
+    ):
+        return False
+    if sorted(pi2, key=Label.key) != list(G1.labels) or sorted(
+        pi2.values(), key=Label.key
+    ) != list(G2.labels):
+        return False
+    if len(pi1) != len(G1.edges) or len(set(pi1.values())) != len(G2.edges):
+        return False
+    if set(pi1) != set(G1.edges) or set(pi1.values()) != set(G2.edges):
+        return False
+    for a in G1.vertices:
+        for b in G1.vertices:
+            if G1.order.leq(a, b) != G2.order.leq(pi0[a], pi0[b]):
+                return False
+    for e, f in pi1.items():
+        if f.source != pi0[e.source]:
+            return False
+        if f.range != pi0[e.range]:
+            return False
+        if f.label != pi2[e.label]:
+            return False
+    return True
+
+
+def tampered(w):
+    """Broken copies of a witness, each wrong wherever it can be: the images
+    of the first edge's source and another vertex swapped, the images of two
+    labels swapped, the first edge's image given another source, and the
+    second edge sent onto the first edge's image."""
+    out = []
+    vm = dict(w.vertex_map)
+    if len(vm) > 1:
+        a = w.edge_map[0][0].source if w.edge_map else w.vertex_map[0][0]
+        b = next(v for v in vm if v != a)
+        vm[a], vm[b] = vm[b], vm[a]
+        out.append(dataclasses.replace(w, vertex_map=tuple(sorted(vm.items()))))
+    lm = list(w.label_map)
+    if len(lm) > 1:
+        (l0, i0), (l1, i1) = lm[0], lm[1]
+        lm[0], lm[1] = (l0, i1), (l1, i0)
+        out.append(dataclasses.replace(w, label_map=tuple(lm)))
+    em = list(w.edge_map)
+    if em and len(vm) > 1:
+        e, f = em[0]
+        other = next(v for v in vm.values() if v != f.source)
+        em[0] = (e, Edge(f.range, f.label, other))
+        out.append(dataclasses.replace(w, edge_map=tuple(em)))
+    em = list(w.edge_map)
+    if len(em) > 1:
+        em[1] = (em[1][0], em[0][1])
+        out.append(dataclasses.replace(w, edge_map=tuple(em)))
+    return out
 
 
 class TestIsomorphism:
@@ -67,6 +136,7 @@ class TestIsomorphism:
             {v: i for i, v in enumerate(classes)},
             tuple(1 << i for i in range(k)),
             (0,) * k,
+            (),
         )
         G = LabelledGraph(None, order, (), ())
         w = graphs_isomorphic_ordered(G, G)
@@ -90,6 +160,46 @@ class TestIsomorphism:
         assert verify_witness(build_graph(T), build_graph(U), verdict.witness)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
+
+
+class TestVerifyMatchesReference:
+    def test_every_equivalent_pair_up_to_three_letters(self):
+        """Every ordered pair of equivalent ≤3-letter matrices (graphs of
+        equal counts, decided EQUIVALENT): the found witness and four
+        tampered copies get the same answer from both checks, and every
+        tampered copy is rejected."""
+        buckets: dict[tuple, list] = {}
+        for T in all_matrices(3):
+            G = build_graph(T)
+            key = (len(G.vertices), len(G.labels), len(G.edges))
+            buckets.setdefault(key, []).append(G)
+        pairs = 0
+        for graphs in buckets.values():
+            for G1 in graphs:
+                for G2 in graphs:
+                    w = graphs_isomorphic_ordered(G1, G2)
+                    if w is None:
+                        continue
+                    pairs += 1
+                    assert verify_witness(G1, G2, w), G1.matrix.rows
+                    assert reference_verify_witness(G1, G2, w)
+                    for bad in tampered(w):
+                        assert not verify_witness(G1, G2, bad), G1.matrix.rows
+                        assert not reference_verify_witness(G1, G2, bad)
+        assert pairs > 3000
+
+    def test_order_is_checked(self, diamond, diamond_graph):
+        # a vertex swap that moves no edge: only the order check can catch
+        # it, here on an edgeless copy of the diamond
+        bare = LabelledGraph(diamond, diamond_graph.order, (), ())
+        w = graphs_isomorphic_ordered(bare, bare)
+        vm = dict(w.vertex_map)
+        a, top = diamond.mask_of("ab"), diamond.mask_of("abc")
+        vm[a], vm[top] = vm[top], vm[a]
+        bad = dataclasses.replace(w, vertex_map=tuple(sorted(vm.items())))
+        assert verify_witness(bare, bare, w) and reference_verify_witness(bare, bare, w)
+        assert not verify_witness(bare, bare, bad)
+        assert not reference_verify_witness(bare, bare, bad)
 
 
 class TestBruteForce:
@@ -159,6 +269,28 @@ class TestGraphCache:
                     assert verify_witness(build_graph(T), build_graph(rep), v.witness)
         assert cached_graph.cache_info().misses - misses == len(set(others))
         assert cached_graph(rep) is cached_graph(rep)
+
+
+    def test_search_inputs_built_once_per_graph(self, monkeypatch):
+        """The search's view of the order, with the label counts, is built
+        once per graph: two negative decides (search, then certificate) on
+        two fresh graphs build two views."""
+        from shiftmorita import labelled_graph
+
+        built = []
+
+        class Counting(labelled_graph.CountedOrder):
+            def __init__(self, order, counts):
+                built.append(order)
+                super().__init__(order, counts)
+
+        monkeypatch.setattr(labelled_graph, "CountedOrder", Counting)
+        T1 = TransitionMatrix(("p1", "q1"), (0b01, 0b10))
+        T2 = TransitionMatrix(("p2", "q2", "r2"), (0b001, 0b001, 0b010))
+        for _ in range(2):
+            v = decide_morita(T1, T2)
+            assert v.certificate.startswith("vertex profiles differs")
+        assert len(built) == 2
 
 
 class TestCertificate:

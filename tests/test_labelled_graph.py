@@ -3,8 +3,9 @@ import pytest
 from shiftmorita.core_order import cached_order
 from shiftmorita.hull import covers_below, dclass_rep, make_idem
 from shiftmorita.labelled_graph import build_graph, to_dot
+from shiftmorita.sweeps import all_matrices
 
-from conftest import mx
+from conftest import mx, seeded_matrices
 
 
 def classes_by_name(diamond):
@@ -126,6 +127,19 @@ class TestEdgeSetSoundness:
     def test_matches_independent_enumeration(self, text):
         T = mx(text)
         assert graph_edges(build_graph(T)) == independent_edges(T)
+
+
+class TestBuildOrder:
+    def test_labels_and_edges_come_out_sorted(self):
+        """``build_graph`` does not sort: the labels must come out in strictly
+        increasing ``Label.key`` order, and the edges in strictly increasing
+        (label key, source) order, as the witness maps rely on."""
+        for T in list(all_matrices(3)) + seeded_matrices():
+            G = build_graph(T)
+            keys = [lab.key() for lab in G.labels]
+            assert keys == sorted(set(keys)), T.rows
+            edge_keys = [(e.label.key(), e.source) for e in G.edges]
+            assert edge_keys == sorted(set(edge_keys)), T.rows
 
 
 class TestSharedGraph:

@@ -1,9 +1,18 @@
 import pytest
 
 from shiftmorita.hull import enumerate_idems, make_idem
-from shiftmorita.oracle import Oracle, compose, dump_map
+from shiftmorita.oracle import Oracle, compose
 
 from conftest import mx
+
+
+def dump_map(T, m):
+    """Sorted ``input -> output`` lines, for golden tests."""
+    lines = [
+        f"{T.fmt_word(x)} -> {T.fmt_word(y)}"
+        for x, y in sorted(m.items())
+    ]
+    return "\n".join(lines)
 
 
 class TestBuild:

@@ -6,7 +6,6 @@ from shiftmorita.shift import (
     TransitionMatrix,
     allowed_words,
     f_classes,
-    follower_of,
     natural_leq,
     parse_matrix,
     parse_word,
@@ -15,6 +14,14 @@ from shiftmorita.shift import (
 from shiftmorita.sweeps import all_matrices
 
 from conftest import mx, seeded_matrices
+
+
+def follower_of(T, a):
+    """The follower vector (row bitmask) of a single letter."""
+    i = T.index(a) if isinstance(a, str) else a
+    if not 0 <= i < T.n:
+        raise ValueError(f"letter index {i} out of range")
+    return T.rows[i]
 
 
 def matrices(max_letters=4):
@@ -132,6 +139,15 @@ class TestWords:
 
     def test_parse_word(self, diamond):
         assert parse_word(diamond, "cab") == (2, 0, 1)
+
+    def test_string_word_over_multi_character_symbols_refused(self):
+        # "a1b1" could be a1.b1 or letters a, 1, b, 1: neither is guessed
+        T = TransitionMatrix(("a1", "b1"), (0b11, 0b01))
+        with pytest.raises(ValueError, match="single-character symbols"):
+            parse_word(T, "a1b1")
+        with pytest.raises(ValueError, match="single-character symbols"):
+            word_allowed(T, "a1")
+        assert word_allowed(T, (0, 1)) and not word_allowed(T, [1, 1])
 
     def test_allowed_words_depth2(self, diamond):
         words = allowed_words(diamond, 2)
