@@ -9,12 +9,14 @@ compatibility and every relative source is either empty or the source set
 of the final letter, so everything reduces to vertex-order lookups.
 
 ``LgisEngine`` is the element algebra, one product at a time, and the
-reference the tests check every table cell against.  The axiom suite
-needs every product among thousands of elements, so ``ProductTables``
-fills its tables by path-pair gathers: a product depends on the two inner
-paths only through their prefix case and tail, computed once per path
-pair, and the middle vertex comes from numpy gathers over the vertex leq
-and meet tables, on the cells of comparable path pairs only.
+reference the tests check every table cell against; its block forms give
+Green's D and the natural order over a whole element list.  The axiom
+suite needs every product among thousands of elements, so
+``ProductTables`` fills its tables by path-pair gathers: a product
+depends on the two inner paths only through their prefix case and tail,
+computed once per path pair, and the middle vertex comes from numpy
+gathers over the vertex leq and meet tables, on the cells of comparable
+path pairs only.
 
 A representative-based relative source over raw edge lists is kept as the
 oracle; ``check_resolving`` also works on raw edges, as bitmasks, so that
@@ -132,13 +134,9 @@ class LgisEngine:
     def __init__(self, G: LabelledGraph):
         self.graph = G
         self.order = G.order
-        self.labels = G.labels
         self.nlabels = len(G.labels)
         self.ranges = tuple(lab.vertex for lab in G.labels)
         self.srcs = tuple(lab.src_class for lab in G.labels)
-        # x x* and x* x per element, for the D check
-        self._xx: dict = {}
-        self._x_x: dict = {}
 
     # ----- paths -------------------------------------------------------
 
@@ -233,43 +231,50 @@ class LgisEngine:
         src = self.relative_source(B, mu)
         return src is not None and self.order.leq(A, src)
 
-    def leq_algebraic(self, x: Element, y: Element) -> bool:
-        """x <= y iff x = y (x* x); the order-theoretic cross-check."""
-        if x is None:
-            return True
-        return self.multiply(y, self.multiply(self.inverse(x), x)) == x
-
     def green(self, x: Element, y: Element, relation: str) -> bool:
-        return self.green_witness(x, y, relation)[0]
-
-    def green_witness(
-        self, x: Element, y: Element, relation: str
-    ) -> tuple[bool, Element]:
-        """Green's R/L/D tests; for D the connecting witness z is returned
-        and re-verified algebraically: z z* = x x* and z* z = y* y, with
-        x x* and y* y computed once per element."""
-        if relation not in ("R", "L", "D"):
+        """Green's R (equal left paths and middles) or L (right paths)."""
+        if relation not in ("R", "L"):
             raise ValueError(f"unknown relation {relation!r}")
         if x is None or y is None:
-            return (x is None and y is None, None)
-        ax, Ax, bx = x
-        ay, Ay, by = y
-        if relation == "R":
-            return (ax == ay and Ax == Ay, None)
-        if relation == "L":
-            return (bx == by and Ax == Ay, None)
-        if Ax != Ay:
-            return (False, None)
-        z = (ax, Ax, by)
-        zz = self.multiply(z, self.inverse(z))
-        z_z = self.multiply(self.inverse(z), z)
-        if x not in self._xx:
-            self._xx[x] = self.multiply(x, self.inverse(x))
-        if y not in self._x_x:
-            self._x_x[y] = self.multiply(self.inverse(y), y)
-        if zz != self._xx[x] or z_z != self._x_x[y]:
-            raise InvariantViolation("D-relation witness fails re-verification")
-        return (True, z)
+            return x is None and y is None
+        side = 0 if relation == "R" else 2
+        return x[side] == y[side] and x[1] == y[1]
+
+    def d_classes(self, elems: Sequence[Element]) -> list[int]:
+        """Green's D-class id per element: -1 for zero, else its middle A.
+        x D y via z = (alpha_x, A, beta_y) with z z* = x x*, z* z = y* y.  On
+        a full alpha x beta grid per middle (``enumerate_elements``) z is in
+        the list, and so is w = x*, whose w w* is x* x.  So every pair passes
+        iff x x* is constant on each (alpha, A): checked once per element."""
+        seen: dict = {}
+        for x in filter(None, elems):
+            xx = self.multiply(x, self.inverse(x))
+            if seen.setdefault(x[:2], xx) != xx:
+                raise InvariantViolation("D-relation witness fails re-verification")
+        return [-1 if x is None else x[1] for x in elems]
+
+    def leq_pairs(self, elems: Sequence[Element]) -> list[tuple[int, int]]:
+        """Every (i, j) with elems[i] <= elems[j].  Zero is below all.  For
+        x = (alpha, A, beta), ``leq`` is asked only on the y with paths
+        alpha and beta less a common suffix mu: every other y fails its
+        path-shape tests, which return False before any order lookup."""
+        by_paths: dict = {}
+        for j, y in enumerate(elems):
+            if y is not None:
+                by_paths.setdefault((y[0], y[2]), []).append(j)
+        out: list[tuple[int, int]] = []
+        for i, x in enumerate(elems):
+            if x is None:
+                out += [(i, j) for j in range(len(elems))]
+                continue
+            alpha, _, beta = x
+            for k in range(min(len(alpha), len(beta)) + 1):
+                gamma, delta = alpha[: len(alpha) - k], beta[: len(beta) - k]
+                if alpha[len(gamma):] != beta[len(delta):]:
+                    break
+                ys = by_paths.get((gamma, delta), ())
+                out += [(i, j) for j in ys if self.leq(x, elems[j])]
+        return out
 
     def enumerate_elements(self, maxlen: int) -> list[Element]:
         """Zero plus every (alpha, A, beta) with path lengths <= maxlen,
@@ -488,9 +493,9 @@ def run_axiom_suite(
     ids.  ``ProductTables`` fills the tables by path-pair gathers;
     associativity, unique inverses, commuting idempotents, the Green
     characterizations, combinatoriality and 0-E-unitarity are read off
-    them.  Green's D and the natural order are cross-checked by calling
-    ``LgisEngine.green`` and ``LgisEngine.leq`` on every pair (the engine
-    computes x x* and y* y once per element), and both resolving predicates
+    them.  Green's D and the natural order are compared with the engine's
+    block forms ``LgisEngine.d_classes`` and ``leq_pairs``, each matched in
+    the tests against pairwise engine calls, and both resolving predicates
     run on the raw edges.  A table too large raises ``TableSizeError``.
     """
     import numpy as np
@@ -539,25 +544,20 @@ def run_axiom_suite(
     results["green_R"] = same_partition(xx, struct_classes(0))
     results["green_L"] = same_partition(x_x, struct_classes(2))
 
-    xl, x_xl = xx.tolist(), x_x.tolist()
-    dpairs = set(zip(xl, x_xl))
-    results["green_D"] = all(
-        eng.green(x, y, "D") == ((a, b) in dpairs)
-        for x, a in zip(elems, xl)
-        for y, b in zip(elems, x_xl)
-    )
+    # x D y iff some element z has z z* = x x* and z* z = y* y
+    rid, lid = (np.unique(ids, return_inverse=True)[1] for ids in (xx, x_x))
+    meets = np.zeros((rid.max() + 1, lid.max() + 1), dtype=bool)
+    meets[rid, lid] = True
+    dcls = np.array(eng.d_classes(elems), dtype=np.int64)[:, None]
+    results["green_D"] = bool((meets[rid[:, None], lid] == (dcls == dcls.T)).all())
 
-    results["combinatorial"] = len(dpairs) == n
+    results["combinatorial"] = int(meets.sum()) == n
 
     fixed = idems[idems != tab.id_of(None)]
     results["zero_e_unitary"] = not (pair[:, fixed] == fixed)[~idem].any()
 
-    below = (left[:, x_x] == ar).T.tolist()  # below[i][j]: x_j x_i* x_i = x_i
-    results["leq_agreement"] = all(
-        eng.leq(x, y) == b
-        for x, row in zip(elems, below)
-        for y, b in zip(elems, row)
-    )
+    below = np.argwhere((left[:, x_x] == ar).T).tolist()  # [i, j]: x_j x_i* x_i = x_i
+    results["leq_agreement"] = set(map(tuple, below)) == set(eng.leq_pairs(elems))
 
     results["weakly_resolving"], results["strongly_resolving"] = check_resolving(
         raw_of(G), 3

@@ -40,6 +40,14 @@ class TransitionMatrix:
     symbols: tuple[str, ...]
     rows: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        n = len(self.symbols)
+        if len(self.rows) != n:
+            raise ValueError(f"{n} symbols but {len(self.rows)} rows")
+        for s, row in zip(self.symbols, self.rows):
+            if row >> n:
+                raise ValueError(f"row {s!r} has bits beyond the {n}-letter alphabet")
+
     @property
     def n(self) -> int:
         return len(self.symbols)
@@ -63,7 +71,10 @@ class TransitionMatrix:
         return "{%s}" % ",".join(self.letters_of(mask))
 
     def fmt_word(self, word: Word) -> str:
-        return "".join(self.symbols[i] for i in word) if word else "ε"
+        """The word's symbols, space-separated when some symbol is longer
+        than one character (symbols hold no whitespace); ε when empty."""
+        sep = "" if all(len(s) == 1 for s in self.symbols) else " "
+        return sep.join(self.symbols[i] for i in word) if word else "ε"
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1

@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 
@@ -32,7 +33,8 @@ def seeded_matrices(
 ) -> list[TransitionMatrix]:
     """A fixed sample of random matrices: ``per_cell`` of each letter count
     at each density (the chance that a transition is allowed).  A row left
-    empty gets one random letter."""
+    empty gets one random letter.  Symbols are lowercase letters, so up to
+    26 letters."""
     rng = random.Random(seed)
     out = []
     for n in letters:
@@ -42,5 +44,6 @@ def seeded_matrices(
                 for _a in range(n):
                     r = sum(1 << b for b in range(n) if rng.random() < d)
                     rows.append(r or 1 << rng.randrange(n))
-                out.append(TransitionMatrix(tuple("abcdefgh"[:n]), tuple(rows)))
+                symbols = tuple(string.ascii_lowercase[:n])
+                out.append(TransitionMatrix(symbols, tuple(rows)))
     return out

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+from itertools import permutations
 
 import pytest
 
@@ -10,6 +11,7 @@ from shiftmorita.decide import (
     brute_force_isomorphic,
     decide_morita,
     graphs_isomorphic_ordered,
+    order_isomorphisms,
     verify_witness,
 )
 from shiftmorita.labelled_graph import (
@@ -216,6 +218,68 @@ class TestBruteForce:
     def test_vertex_count_short_circuit(self, diamond_graph):
         g1 = build_graph(mx("a\n1"))
         assert not brute_force_isomorphic(g1, diamond_graph)
+
+
+def brute_force_order_isomorphisms(o1, counts1, o2, counts2) -> set:
+    """Every bijection of the classes that preserves the order both ways and
+    the count of every pair of classes, as sorted item tuples."""
+    c1 = o1.classes
+    found = set()
+    if len(c1) != len(o2.classes):
+        return found
+    for image in permutations(o2.classes):
+        sigma = dict(zip(c1, image))
+        if all(
+            o1.leq(a, b) == o2.leq(sigma[a], sigma[b])
+            and counts1.get((a, b), 0) == counts2.get((sigma[a], sigma[b]), 0)
+            for a in c1
+            for b in c1
+        ):
+            found.add(tuple(sorted(sigma.items())))
+    return found
+
+
+def hand_built_order(classes, pairs) -> CoreOrder:
+    """A ``CoreOrder`` over arbitrary class ids from its (lo, hi) pairs,
+    reflexive and transitive; no matrix, cores or covers."""
+    index = {v: i for i, v in enumerate(classes)}
+    down = tuple(
+        sum(1 << index[lo] for lo, hi in pairs if hi == v) for v in classes
+    )
+    k = len(classes)
+    return CoreOrder(None, classes, frozenset(pairs), {}, index, down, (0,) * k, ())
+
+
+class TestOrderIsomorphisms:
+    def test_yields_exactly_the_brute_force_set(self):
+        """Self-pairs and every relabelled copy of each matrix with at most
+        2 letters and of a seeded sample of 3-letter ones: the search yields
+        each count-preserving order isomorphism once, and no other map."""
+        three = [T for T in all_matrices(3) if T.n == 3]
+        yielded = 0
+        for T in [*all_matrices(2), *random.Random(12).sample(three, 40)]:
+            G = build_graph(T)
+            for perm in permutations(range(T.n)):
+                H = build_graph(permuted_copy(T, list(perm)))
+                args = (G.order, G.label_counts(), H.order, H.label_counts())
+                got = [tuple(sorted(s.items())) for s in order_isomorphisms(*args)]
+                assert len(got) == len(set(got)), (T.rows, perm)
+                assert set(got) == brute_force_order_isomorphisms(*args), (T.rows, perm)
+                yielded += len(got)
+        assert yielded > 300
+
+    def test_hand_built_order_against_index_order(self):
+        """Two chains a1 < b1 and a2 < b2 whose tops come first in the class
+        order.  Built orders list every class after those below it; then
+        the down-sets and the profiles alone rule out a wrong map.  Here
+        only the up-sets tell a1 -> a2 (with b1 -> b1) apart."""
+        b1, b2, a1, a2 = classes = (10, 20, 1, 2)
+        pairs = {(v, v) for v in classes} | {(a1, b1), (a2, b2)}
+        order = hand_built_order(classes, pairs)
+        args = (order, {}, order, {})
+        got = [tuple(sorted(s.items())) for s in order_isomorphisms(*args)]
+        assert sorted(got) == sorted(brute_force_order_isomorphisms(*args))
+        assert len(got) == 2
 
 
 class TestDecide:

@@ -22,6 +22,7 @@ from shiftmorita.lgis import (
     relative_source_raw,
     run_axiom_suite,
 )
+from shiftmorita.shift import InvariantViolation
 
 from conftest import mx
 
@@ -181,6 +182,13 @@ class TestInverse:
                 assert eng.inverse(x) == x
 
 
+def leq_algebraic(eng, x, y):
+    """x <= y iff x = y (x* x); the order-theoretic cross-check."""
+    if x is None:
+        return True
+    return eng.multiply(y, eng.multiply(eng.inverse(x), x)) == x
+
+
 class TestLeq:
     def test_suffix_condition(self, diamond, diamond_graph, eng):
         lx = named_labels(diamond, diamond_graph)
@@ -197,7 +205,7 @@ class TestLeq:
         elems = eng.enumerate_elements(2)
         for x in elems:
             for y in elems:
-                assert eng.leq(x, y) == eng.leq_algebraic(x, y)
+                assert eng.leq(x, y) == leq_algebraic(eng, x, y)
 
 
 def literal_green_d(eng, x, y):
@@ -242,18 +250,91 @@ class TestGreen:
                 assert eng.green(x, y, "R") == alg
 
     def test_d_matches_four_fresh_products(self, diamond_graph):
-        # the engine computes x x* and y* y once per element; the reference
-        # recomputes all four products for every pair
+        # d_classes checks x x* once per element (x* x is the x x* of the
+        # inverse); the reference recomputes all four products per pair
         for G in [diamond_graph, *small_graphs()]:
             e = LgisEngine(G)
             elems = e.enumerate_elements(2)
-            for x in elems:
-                for y in elems:
-                    assert e.green_witness(x, y, "D") == literal_green_d(e, x, y)
+            d = e.d_classes(elems)
+            for x, dx in zip(elems, d):
+                for y, dy in zip(elems, d):
+                    assert (dx == dy) == literal_green_d(e, x, y)[0], G.matrix.rows
 
     def test_unknown_relation(self, eng):
-        with pytest.raises(ValueError):
-            eng.green(None, None, "H")
+        for relation in ("H", "D"):
+            with pytest.raises(ValueError):
+                eng.green(None, None, relation)
+
+
+def pairwise_d_holds(eng, elems) -> bool:
+    """Every witness check of ``literal_green_d`` passes."""
+    try:
+        for x in elems:
+            for y in elems:
+                literal_green_d(eng, x, y)
+    except AssertionError:
+        return False
+    return True
+
+
+class TestBlockForms:
+    """``d_classes`` and ``leq_pairs`` against the engine's pairwise
+    relations, on every pair of elements."""
+
+    def test_leq_pairs_match_pairwise_leq(self, diamond_graph):
+        for G in [diamond_graph, *small_graphs()]:
+            e = LgisEngine(G)
+            for maxlen in (0, 1, 2):
+                elems = e.enumerate_elements(maxlen)
+                got = e.leq_pairs(elems)
+                assert len(got) == len(set(got))
+                assert set(got) == {
+                    (i, j)
+                    for i, x in enumerate(elems)
+                    for j, y in enumerate(elems)
+                    if e.leq(x, y)
+                }, (G.matrix.rows, maxlen)
+
+    def test_d_class_ids_are_middles(self, eng):
+        elems = eng.enumerate_elements(1)
+        assert eng.d_classes(elems) == [-1] + [x[1] for x in elems[1:]]
+
+    def test_broken_product_raises_exactly_when_a_pair_fails(self, monkeypatch):
+        # x x* made zero for one element, then for a whole (alpha, A) row of
+        # elements: d_classes raises iff some pairwise witness check fails.
+        # The first breaks a row's constancy, the second keeps it.
+        e = LgisEngine(build_graph(mx("a b\n11\n10")))
+        elems = e.enumerate_elements(1)
+        outcomes = []
+        for x0 in elems[1:]:
+            row = [x for x in elems[1:] if x[:2] == x0[:2]]
+            for hit in ([x0], row):
+                targets = {(x, e.inverse(x)) for x in hit}
+
+                def broken(x, y, targets=targets):
+                    return None if (x, y) in targets else LgisEngine.multiply(e, x, y)
+
+                monkeypatch.setattr(e, "multiply", broken)
+                try:
+                    e.d_classes(elems)
+                    raised = False
+                except InvariantViolation:
+                    raised = True
+                assert raised == (not pairwise_d_holds(e, elems)), (x0, len(hit))
+                outcomes.append(raised)
+        assert outcomes == [True, False] * (len(elems) - 1)
+
+    def test_suite_raises_on_a_broken_witness(self, monkeypatch):
+        G = build_graph(mx("a b\n11\n10"))
+        x0 = LgisEngine(G).enumerate_elements(2)[-1]
+        multiply = LgisEngine.multiply
+
+        def broken(self, x, y):
+            return None if (x, y) == (x0, self.inverse(x0)) else multiply(self, x, y)
+
+        monkeypatch.setattr(LgisEngine, "multiply", broken)
+        with pytest.raises(InvariantViolation, match="D-relation witness"):
+            run_axiom_suite(G, samples3=0)
 
 
 class TestEnumerate:

@@ -155,6 +155,39 @@ class TestWords:
         assert strs == {"a", "b", "c", "aa", "ab", "bb", "bc", "ca", "cb", "cc"}
 
 
+    def test_fmt_word_separates_multi_character_symbols(self, diamond):
+        # "a1b1" could be a1.b1 or a.1b.1; with a space it reads one way
+        T = TransitionMatrix(("a1", "b", "1b"), (0b111, 0b111, 0b111))
+        assert T.fmt_word((0, 1)) == "a1 b"
+        assert T.fmt_word((0, 2)) == "a1 1b"
+        assert T.fmt_word(()) == "ε"
+        # single-character alphabets print as before
+        assert diamond.fmt_word((2, 0, 1)) == "cab"
+        assert diamond.fmt_word(()) == "ε"
+
+
+class TestMatrixShape:
+    def test_row_count_must_match_the_alphabet(self):
+        with pytest.raises(ValueError, match="1 symbols but 2 rows"):
+            TransitionMatrix(("a",), (1, 1))
+        with pytest.raises(ValueError, match="2 symbols but 1 rows"):
+            TransitionMatrix(("a", "b"), (1,))
+
+    def test_row_bits_must_lie_in_the_alphabet(self):
+        with pytest.raises(ValueError, match="row 'b' has bits beyond the 2-letter"):
+            TransitionMatrix(("a", "b"), (0b11, 0b101))
+        with pytest.raises(ValueError, match="beyond"):
+            TransitionMatrix(("a",), (-1,))
+        assert TransitionMatrix(("a", "b"), (0b11, 0b10)).n == 2
+
+    def test_seeded_sample_reaches_past_eight_letters(self):
+        sample = seeded_matrices(letters=(9, 12), densities=(0.5,), per_cell=2)
+        assert [T.n for T in sample] == [9, 9, 12, 12]
+        for T in sample:
+            assert len(set(T.symbols)) == T.n == len(T.rows)
+            assert all(0 < row < 1 << T.n for row in T.rows)
+
+
 class TestFollowers:
     def test_row_a(self, diamond):
         assert follower_of(diamond, "a") == diamond.mask_of("ab")
