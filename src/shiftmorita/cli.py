@@ -181,6 +181,12 @@ def cmd_decide(args) -> int:
 def cmd_selftest(args) -> int:
     from . import sweeps
 
+    if not 1 <= args.max_letters <= len(sweeps.SYMBOLS):
+        print(f"selftest letter bound must be 1..{len(sweeps.SYMBOLS)}", file=sys.stderr)
+        return 2
+    if args.random_count < 0:
+        print("selftest random count must be >= 0", file=sys.stderr)
+        return 2
     mats = list(sweeps.all_matrices(args.max_letters))
     suites = [
         ("oracle", sweeps.sweep_oracle),

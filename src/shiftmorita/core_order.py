@@ -12,13 +12,13 @@ int bitsets (the depth-0 cores as least fixpoints, Warshall's closure), and
 its ``CoreOrder`` keeps those bitsets: meets, down-sets, Hasse covers and the
 covers of each class representative are read off them.  The set-up costs
 O(k·n) big-int operations for k classes and n letters, from one bitset per
-letter, and rule (4) runs on two running unions per core.  Rule (4) stays
-until it is proved to add nothing at depth 0 once rules (2) and (3) are
-closed, as the exhaustive checks so far find.  ``core_of_at`` (the
-core of any canonical idempotent) and ``hull.covers_below_at`` work on
-``HullIdempotent`` sets; they are the references the tests and sweeps check
-the kernel against, and they validate the depth-0 restriction of the class
-order against conjugated corners instead of assuming it.
+letter.  At depth 0, rule (4) adds nothing once rules (2) and (3) are
+closed, so the kernel runs only those two (``_core`` has the proof).
+``core_of_at`` (the core of any canonical idempotent, by all three rules)
+and ``hull.covers_below_at`` work on ``HullIdempotent`` sets; they are the
+references the tests and sweeps check the kernel against, and they validate
+the depth-0 restriction of the class order against conjugated corners
+instead of assuming it.
 """
 
 from __future__ import annotations
@@ -181,24 +181,31 @@ class CoreOrder:
 class CountedOrder:
     """A class order with counts on pairs (v, c) of classes (for a graph,
     the labels at v with cover class c), as the isomorphism search reads it:
-    down- and up-sets as bitsets over class indices; per class, the counts
-    at it by c (``at``) and into it by v (``into``) as (class, n) pairs; and
-    each class's profile, an invariant of count-preserving isomorphisms."""
+    down-sets as bitsets over class indices; per class, the counts at it by
+    c (``at``) and into it by v (``into``) as (class index, n) pairs; and
+    each class's profile, an invariant of count-preserving isomorphisms.
+
+    Every class must come after the classes below it, so that fixing the
+    classes in index order fixes each down-set with its top; ``ValueError``
+    otherwise.  ``build_order`` always meets this: its classes are sorted
+    masks, and its order lies inside the subset order.
+    """
 
     def __init__(self, order: CoreOrder, counts: Counts):
         self.classes = classes = order.classes
         index = order.index
         self.down = down = order.down
+        if any(d >> i + 1 for i, d in enumerate(down)):
+            raise ValueError("a class is listed before a class below it")
         up = [0] * len(classes)
         for b, db in enumerate(down):
             for a in _bits(db):
                 up[a] |= 1 << b
-        self.up = up
         at: list[list[tuple[int, int]]] = [[] for _ in classes]
         into: list[list[tuple[int, int]]] = [[] for _ in classes]
         for (v, c), n in counts.items():
-            at[index[v]].append((c, n))
-            into[index[c]].append((v, n))
+            at[index[v]].append((index[c], n))
+            into[index[c]].append((index[v], n))
         self.at = [tuple(x) for x in at]
         self.into = [tuple(y) for y in into]
         into_total = [sum(n for _, n in y) for y in into]
@@ -209,7 +216,7 @@ class CountedOrder:
                 up[i].bit_count(),
                 sum(into_total[j] for j in _bits(up[i])),
                 tuple(sorted(
-                    down[index[c]].bit_count() for c, n in at[i] for _ in range(n)
+                    down[c].bit_count() for c, n in at[i] for _ in range(n)
                 )),
             )
             for i in range(len(classes))
@@ -272,7 +279,7 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
     down = [0] * k
     cores = {}
     for v in range(k):
-        core = rest = _core(v, classes, index, sub, sup, maxsub, inc)
+        core = rest = _core(v, classes, index, maxsub, inc)
         members = []
         while rest:
             low = rest & -rest
@@ -331,8 +338,6 @@ def _core(
     v: int,
     classes: tuple[int, ...],
     index: dict[int, int],
-    sub: list[int],
-    sup: list[int],
     maxsub: list[int],
     inc: list[int],
 ) -> int:
@@ -346,11 +351,28 @@ def _core(
     ((), u) with b in u and has zero product with every other.  The rules
     are monotone, so the least fixpoint does not depend on their order.
 
-    Rule (4) runs on two running unions, of the members' supersets and of
-    their subsets; rule (2) ANDs each member with the members taken before
-    it, so with each other member once.
+    Rule (4) adds nothing here, so only rules (2) and (3) run.  Let C be
+    the least set with v closed under (2) and (3), and h a cover (a maximal
+    proper subclass of a member) outside C.  Every member but v came from
+    (2), as the AND of two incomparable members, or from (3), as a cover.
+    - No member m meets h incomparably.  Such an m is no cover, else (3)
+      adds h, and it is not v, which contains h.  So m = a AND b by (2).
+      Both contain m, so both meet h and neither lies inside h; as m does
+      not contain h, one of them does not.  That one is larger than m and
+      meets h incomparably, so no such m is maximal.
+    - No member lies inside h.  Take x maximal among them.  A member
+      larger than x meets h, so by the above it contains h.  If x = a AND b,
+      then x contains h; if x is a maximal proper subclass of a member m,
+      then h = m.  Either way h is in C.
+    So for members x <= y and a class g between them, g not y, a class
+    maximal among those containing g strictly inside y is a cover of y
+    containing x, so a member; repeating below it reaches g.  C is closed
+    under (4), and is the core.
+
+    Rule (2) ANDs each member with the members taken before it, so with
+    each other member once.
     """
-    core = covers = up = down = 0
+    core = covers = 0
     todo = 1 << v
     while todo:
         while todo:
@@ -358,11 +380,8 @@ def _core(
             x = low.bit_length() - 1
             todo ^= low
             covers |= maxsub[x]
-            # (4): a class above one member and below another
-            up |= sup[x]
-            down |= sub[x]
-            new = up & down
             # (2): ANDs with comparable members are members already
+            new = 0
             cx = classes[x]
             rest = inc[x] & core
             while rest:

@@ -8,9 +8,11 @@ it matches the order relation and, for every pair (vertex, class), the
 number of labels at the vertex whose cover lies in that class.
 
 ``order_isomorphisms`` enumerates those bijections, pruned by vertex
-profiles.  The graph search here and the CD search in ``smorita`` share it;
-each keeps its own finisher: the edge-level witness, re-verified edge by
-edge, or the full product table.  The graph search reads each graph's
+profiles and checked on down-sets only.  The graph search here and the CD
+search in ``smorita`` share it, and each takes the first bijection it
+yields: every one extends, to the edge-level witness (re-verified edge by
+edge) or to the full product table, so a failure to extend is an
+``InvariantViolation``.  The graph search reads each graph's
 ``counted_order``, built once per graph.
 
 ``decide_morita`` takes both graphs from ``labelled_graph.cached_graph``, so
@@ -58,77 +60,78 @@ def order_isomorphisms(
 
 def _search(s1: CountedOrder, s2: CountedOrder) -> Iterator[dict[int, int]]:
     """The count-preserving order isomorphisms, depth-first with an
-    explicit stack.  Classes are fixed in ``s1.classes`` order; their
-    candidates, the classes of equal profile, are tried in ``s2.classes``
-    order and kept when the order and the counts agree with every class
-    fixed so far."""
+    explicit stack.  Class i of s1 is fixed at depth i; its candidates, the
+    classes of s2 with its profile, are tried in index order and kept when
+    the down-sets and the counts agree with every class fixed so far.
+
+    The down-sets alone make the map an order isomorphism.  ``CountedOrder``
+    lists every class after the classes below it, so when class i is fixed
+    its whole down-set is fixed.  The map is injective and the profiles
+    carry |down|, so the images of ``s1.down[i]`` equal ``s2.down[j]`` on
+    the fixed classes exactly when they equal ``s2.down[j]``.  So each
+    down-set goes onto a down-set, a <= b exactly when sigma a <= sigma b,
+    and the up-sets need no check of their own.
+    """
     by_profile: dict[tuple, list[int]] = {}
     for j, p in enumerate(s2.profile):
         by_profile.setdefault(p, []).append(j)
     cands = [by_profile.get(p, []) for p in s1.profile]
-    if len(s1.classes) != len(s2.classes) or not all(cands):
+    k = len(cands)
+    if k != len(s2.classes) or not all(cands):
         return
-    sigma: dict[int, int] = {}
-    inverse: dict[int, int] = {}
-    # image[i]: the bit of s1's class i's image, 0 while unfixed
-    image = [0] * len(cands)
+    # perm[i]: the s2 class of s1's class i, -1 while unfixed
+    perm = [-1] * k
     fixed = 0
 
     def fits(i: int, j: int) -> bool:
-        for rel1, rel2 in ((s1.down, s2.down), (s1.up, s2.up)):
-            got = 0
-            for c in _bits(rel1[i] & ((2 << i) - 1)):  # s1 classes 0..i are fixed
-                got |= image[c]
-            if got != rel2[j] & fixed:
-                return False
-        return all(
-            {sigma[c]: n for c, n in r1 if c in sigma}
-            == {w: n for w, n in r2 if w in inverse}
+        got = 0
+        for c in _bits(s1.down[i]):
+            got |= 1 << perm[c]
+        return got == s2.down[j] and all(
+            {perm[c]: n for c, n in r1 if c <= i}
+            == {w: n for w, n in r2 if w == j or fixed >> w & 1}
             for r1, r2 in ((s1.at[i], s2.at[j]), (s1.into[i], s2.into[j]))
         )
 
     stack = [iter(cands[0])]
     while stack:
         i = len(stack) - 1
-        a = s1.classes[i]
-        if image[i]:
-            del inverse[sigma.pop(a)]
-            fixed ^= image[i]
-            image[i] = 0
+        if perm[i] >= 0:
+            fixed ^= 1 << perm[i]
         for j in stack[-1]:
-            if not fixed >> j & 1:
-                v = s2.classes[j]
-                sigma[a], inverse[v] = v, a
-                image[i] = 1 << j
-                fixed |= image[i]
-                if fits(i, j):
-                    break
-                fixed ^= image[i]
-                image[i] = 0
-                del sigma[a], inverse[v]
+            perm[i] = j
+            if not fixed >> j & 1 and fits(i, j):
+                fixed |= 1 << j
+                break
         else:
+            perm[i] = -1
             stack.pop()
             continue
-        if len(sigma) == len(cands):
-            yield dict(sigma)
+        if i + 1 == k:
+            yield {s1.classes[a]: s2.classes[b] for a, b in enumerate(perm)}
         else:
-            stack.append(iter(cands[len(sigma)]))
+            stack.append(iter(cands[i + 1]))
 
 
 def _extend_witness(
     G1: LabelledGraph, G2: LabelledGraph, pi0: dict[int, int]
-) -> "IsoWitness | None":
-    """Build the forced label/edge bijections over a vertex bijection, in
-    G1's (key) order, or None when the label groups do not match."""
+) -> IsoWitness:
+    """The forced label and edge bijections over a count-preserving order
+    isomorphism of the vertices, in G1's (key) order, verified.
+
+    Such a map always extends.  The labels at (a, c) and at (pi0 a, pi0 c)
+    are equally many, so the groups zip into a label bijection that keeps
+    ranges and source classes.  A label's edges come from the down-set of
+    its source class, and pi0 carries down-sets onto down-sets, so the
+    edges correspond too.  A failure is an ``InvariantViolation``.
+    """
     by_key_2 = G2.label_groups()
     pi2: dict[Label, Label] = {}
     for (a, c), group in G1.label_groups().items():
         partners = by_key_2.get((pi0[a], pi0[c]), ())
         if len(partners) != len(group):
-            return None
+            raise InvariantViolation("label groups of an order isomorphism differ")
         pi2.update(zip(group, partners))
-    if len(pi2) != len(G2.labels):
-        return None
     witness = IsoWitness(
         tuple(sorted(pi0.items())),
         tuple((lab, pi2[lab]) for lab in G1.labels),
@@ -136,7 +139,9 @@ def _extend_witness(
             (e, Edge(pi0[e.range], pi2[e.label], pi0[e.source])) for e in G1.edges
         ),
     )
-    return witness if verify_witness(G1, G2, witness) else None
+    if not verify_witness(G1, G2, witness):
+        raise InvariantViolation("an order isomorphism failed to extend to a witness")
+    return witness
 
 
 def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
@@ -180,17 +185,15 @@ def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
 def graphs_isomorphic_ordered(
     G1: LabelledGraph, G2: LabelledGraph
 ) -> "IsoWitness | None":
-    """The first count-preserving order isomorphism of the vertices that
-    extends to a verified witness, or None."""
+    """The verified witness over the first count-preserving order
+    isomorphism of the vertices, or None when there is none.  The first one
+    decides: every such map extends (``_extend_witness``)."""
     if len(G1.vertices) != len(G2.vertices):
         return None
     if len(G1.labels) != len(G2.labels) or len(G1.edges) != len(G2.edges):
         return None
-    for pi0 in _search(G1.counted_order, G2.counted_order):
-        witness = _extend_witness(G1, G2, pi0)
-        if witness is not None:
-            return witness
-    return None
+    pi0 = next(_search(G1.counted_order, G2.counted_order), None)
+    return None if pi0 is None else _extend_witness(G1, G2, pi0)
 
 
 def brute_force_isomorphic(G1: LabelledGraph, G2: LabelledGraph) -> bool:
@@ -219,11 +222,7 @@ def brute_force_isomorphic(G1: LabelledGraph, G2: LabelledGraph) -> bool:
         ):
             continue
         # equal totals plus matching per-key counts force a full witness
-        witness = _extend_witness(G1, G2, pi0)
-        if witness is None:
-            raise InvariantViolation(
-                "surviving bijection failed full witness construction"
-            )
+        _extend_witness(G1, G2, pi0)
         return True
     return False
 

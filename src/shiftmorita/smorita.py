@@ -13,7 +13,9 @@ exactly its primitive idempotents, and a D-class preserving isomorphism of
 two CDs is what the decision procedure's graph search must agree with.
 Its guarded covers grouped by (outer class, D-class) have the sizes of the
 graph's label counts, so the CD search shares the graph search's engine and
-keeps its own finisher, the full product table.
+keeps its own finisher, the full product table.  The first class bijection
+the engine yields decides, and one that fails the table is an
+``InvariantViolation``.
 """
 
 from __future__ import annotations
@@ -56,8 +58,16 @@ def make_sidem(
     above g: the classes that contain g's letter, or every letter of g's
     vector when g's word is empty.  The equality class of [u, g, u] is
     closed under meets, so the fold of the valid classes connected to u by
-    nonzero meets is the canonical representative.  The group grows while
-    a valid class's down-set meets the union of the group's down-sets.
+    nonzero meets is the canonical representative.
+
+    One pass finds them: the group is the valid classes whose down-set
+    meets u's.  On valid classes the nonzero-meet relation is transitive.
+    Let u meet j1 and j1 meet j2.  Then u^j1 and j1^j2 both lie below j1,
+    and both contain g's letter (or g's vector), so their AND is nonzero.
+    By the representative-product identity, two classes under a common
+    upper bound with a zero meet have a zero product (``check_meet_identity``
+    verifies it, and criterion 3 runs that check).  So u^j1 and j1^j2 have
+    a common lower bound, which lies below u and j2: u meets j2.
     """
     if g is None:
         return None
@@ -69,15 +79,10 @@ def make_sidem(
     i = order.index.get(u)
     if i is None or not valid >> i & 1:
         raise ValueError("middle does not sit below the outer class")
-    group, reach = 1 << i, order.down[i]
-    grown = True
-    while grown:
-        grown = False
-        for j in _bits(valid & ~group):
-            if order.down[j] & reach:
-                group |= 1 << j
-                reach |= order.down[j]
-                grown = True
+    group = 0
+    for j in _bits(valid):
+        if order.down[j] & order.down[i]:
+            group |= 1 << j
     least = u
     for j in _bits(group):
         least = order.meet(least, order.classes[j])
@@ -233,23 +238,30 @@ def cd_isomorphic(cd1: CDSet, cd2: CDSet) -> "dict | None":
 
     The class bijection must be an order isomorphism and carry the guarded
     covers grouped by (outer class, D-class) onto matching groups; any such
-    data determines the map, which is then re-verified on the full product
-    table before being returned.
+    data determines the map.  The first such bijection decides: it always
+    extends (``_assemble_and_verify``), and the map is re-verified on the
+    full product table before being returned.
     """
     o1, o2 = cd1.order, cd2.order
     if len(o1.classes) != len(o2.classes) or len(cd1.Cll) != len(cd2.Cll):
         return None
     g1, g2 = cd1.cover_groups(), cd2.cover_groups()
-    for sigma in order_isomorphisms(
+    sigma = next(order_isomorphisms(
         o1, {k: len(g) for k, g in g1.items()}, o2, {k: len(g) for k, g in g2.items()}
-    ):
-        found = _assemble_and_verify(cd1, cd2, sigma, g1, g2)
-        if found is not None:
-            return found
-    return None
+    ), None)
+    return None if sigma is None else _assemble_and_verify(cd1, cd2, sigma, g1, g2)
 
 
-def _assemble_and_verify(cd1, cd2, sigma, g1, g2) -> "dict | None":
+def _assemble_and_verify(cd1, cd2, sigma, g1, g2) -> dict:
+    """The element map over a count-preserving order isomorphism sigma of
+    the classes, checked on D-classes and the full product table.
+
+    Such a sigma always extends.  The product rules of criterion 5 (C*C is
+    the representative of the meet, Cll*C is the cover or zero by the order,
+    Cll*Cll is the cover or zero by equality) read only meets, the order
+    and equality, and sigma keeps all three.  A failure is an
+    ``InvariantViolation``.
+    """
     pi: dict[SIdem, SIdem] = {}
     for c1 in cd1.C:
         pi[c1] = make_sidem(
@@ -258,16 +270,18 @@ def _assemble_and_verify(cd1, cd2, sigma, g1, g2) -> "dict | None":
     for (a, d), elems in g1.items():
         partners = g2.get((sigma[a], sigma[d]), [])
         if len(partners) != len(elems):
-            return None
+            raise InvariantViolation("cover groups of an order isomorphism differ")
         pi.update(zip(elems, partners))
     if len(set(pi.values())) != len(pi):
-        return None
+        raise InvariantViolation("an order isomorphism gave a non-injective CD map")
     for x in cd1.elements:
         if sigma[cd1.dtag(x)] != cd2.dtag(pi[x]):
-            return None
+            raise InvariantViolation("an order isomorphism moved a D-class of CD")
         for y in cd1.elements:
             p = cd1.product(x, y)
             q = cd2.product(pi[x], pi[y])
             if (pi[p] if p is not None else None) != q:
-                return None
+                raise InvariantViolation(
+                    f"an order isomorphism broke the CD product {cd1.fmt(x)} * {cd1.fmt(y)}"
+                )
     return {"classes": dict(sigma), "elements": pi}

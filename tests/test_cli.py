@@ -180,6 +180,20 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-letters", "5"], "letter bound must be 1..4"),
+            (["--max-letters", "0"], "letter bound must be 1..4"),
+            (["--max-letters", "1", "--random-count", "-3"], "random count must be >= 0"),
+        ],
+    )
+    def test_out_of_range_arguments_exit_2(self, argv, message, capsys):
+        assert main(["selftest", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"selftest {message}\n"
+
 
 class TestUsage:
     def test_unknown_flag_exit_2(self, matrix_file):

@@ -5,9 +5,12 @@ from itertools import permutations
 
 import pytest
 
+from shiftmorita import decide
+from shiftmorita.cli import main
 from shiftmorita.core_order import CoreOrder, build_order
 from shiftmorita.decide import (
     _certificate,
+    _extend_witness,
     brute_force_isomorphic,
     decide_morita,
     graphs_isomorphic_ordered,
@@ -21,10 +24,11 @@ from shiftmorita.labelled_graph import (
     build_graph,
     cached_graph,
 )
-from shiftmorita.shift import TransitionMatrix
+from shiftmorita.shift import InvariantViolation, TransitionMatrix
+from shiftmorita.smorita import _assemble_and_verify, build_cd, cd_isomorphic
 from shiftmorita.sweeps import all_matrices, permuted_copy
 
-from conftest import mx
+from conftest import DIAMOND_TEXT, mx
 
 
 def reference_verify_witness(G1, G2, w):
@@ -269,17 +273,80 @@ class TestOrderIsomorphisms:
         assert yielded > 300
 
     def test_hand_built_order_against_index_order(self):
-        """Two chains a1 < b1 and a2 < b2 whose tops come first in the class
-        order.  Built orders list every class after those below it; then
-        the down-sets and the profiles alone rule out a wrong map.  Here
-        only the up-sets tell a1 -> a2 (with b1 -> b1) apart."""
-        b1, b2, a1, a2 = classes = (10, 20, 1, 2)
-        pairs = {(v, v) for v in classes} | {(a1, b1), (a2, b2)}
-        order = hand_built_order(classes, pairs)
+        """Two chains a1 < b1 and a2 < b2.  With the tops listed first, the
+        down-sets and the profiles alone would not rule out a1 -> a2 with
+        b1 -> b1, so the search refuses that listing.  Listed bottom-up, it
+        yields exactly the brute-force set."""
+        b1, b2, a1, a2 = tops_first = (10, 20, 1, 2)
+        pairs = {(v, v) for v in tops_first} | {(a1, b1), (a2, b2)}
+        order = hand_built_order(tops_first, pairs)
+        with pytest.raises(ValueError, match="listed before a class below it"):
+            order_isomorphisms(order, {}, order, {})
+        order = hand_built_order((a1, a2, b1, b2), pairs)
         args = (order, {}, order, {})
         got = [tuple(sorted(s.items())) for s in order_isomorphisms(*args)]
         assert sorted(got) == sorted(brute_force_order_isomorphisms(*args))
         assert len(got) == 2
+
+
+class TestEverySigmaExtends:
+    def test_pairs_and_relabellings_up_to_three_letters(self):
+        """Every map the search yields extends on both sides: to a verified
+        graph witness and to a CD map that keeps the product table.  Over
+        every pair of <=3-letter matrices decided equivalent, and every
+        matrix against each of its relabellings."""
+        mats = list(all_matrices(3))
+        graphs = {T: build_graph(T) for T in mats}
+        cds = {T: build_cd(T) for T in mats}
+        buckets: dict[tuple, list] = {}
+        for T, G in graphs.items():
+            buckets.setdefault((len(G.vertices), len(G.labels), len(G.edges)), []).append(T)
+        pairs = [
+            (T1, T2)
+            for group in buckets.values()
+            for i, T1 in enumerate(group)
+            for T2 in group[i + 1:]
+            if graphs_isomorphic_ordered(graphs[T1], graphs[T2]) is not None
+        ]
+        for T in mats:
+            for perm in permutations(range(T.n)):
+                U = permuted_copy(T, list(perm))
+                graphs.setdefault(U, build_graph(U))
+                cds.setdefault(U, build_cd(U))
+                pairs.append((T, U))
+        maps = 0
+        for T1, T2 in pairs:
+            G1, G2, cd1, cd2 = graphs[T1], graphs[T2], cds[T1], cds[T2]
+            g1, g2 = cd1.cover_groups(), cd2.cover_groups()
+            counts1, counts2 = G1.label_counts(), G2.label_counts()
+            assert {k: len(g) for k, g in g1.items()} == counts1
+            for sigma in order_isomorphisms(G1.order, counts1, G2.order, counts2):
+                assert verify_witness(G1, G2, _extend_witness(G1, G2, sigma))
+                _assemble_and_verify(cd1, cd2, sigma, g1, g2)
+                maps += 1
+        assert maps == 4123
+
+
+class TestFinisherFailures:
+    def test_rejected_witness_raises_and_decide_exits_3(
+        self, monkeypatch, tmp_path, capsys, diamond_graph
+    ):
+        monkeypatch.setattr(decide, "verify_witness", lambda *args: False)
+        with pytest.raises(InvariantViolation, match="failed to extend"):
+            graphs_isomorphic_ordered(diamond_graph, diamond_graph)
+        f = tmp_path / "diamond.mx"
+        f.write_text(DIAMOND_TEXT + "\n")
+        assert main(["decide", str(f), str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "failed to extend" in captured.err
+
+    def test_broken_cd_product_raises(self, diamond):
+        cd1 = build_cd(diamond)
+        cd2 = build_cd(permuted_copy(diamond, [2, 0, 1]))
+        cd2.product = lambda x, y: None
+        with pytest.raises(InvariantViolation, match="broke the CD product"):
+            cd_isomorphic(cd1, cd2)
 
 
 class TestDecide:
