@@ -9,8 +9,10 @@ graph, and it carries a meet with e_{a^b} = e_a AND e_b whenever nonzero.
 
 ``build_order`` computes the order with one kernel over class indices and
 int bitsets (the depth-0 cores as least fixpoints, Warshall's closure), and
-its ``CoreOrder`` keeps those bitsets: meets, down-sets, Hasse covers and the
-covers of each class representative are read off them.  The set-up costs
+its ``CoreOrder`` keeps those bitsets: meets, Hasse covers and the covers
+of each class representative are read off them, and the pair and core sets
+are derived on first use.  Antisymmetry is checked as triangularity (see
+``build_order``).  The set-up costs
 O(k·n) big-int operations for k classes and n letters, from one bitset per
 letter.  At depth 0, rule (4) adds nothing once rules (2) and (3) are
 closed, so the kernel runs only those two (``_core`` has the proof).
@@ -24,7 +26,7 @@ instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 from .hull import (
@@ -123,17 +125,27 @@ class CoreOrder:
     class i is the mask ``classes[i]`` (``index`` inverts that), ``down[i]``
     and ``maxsub[i]`` are the bitsets of the classes below-or-equal it and of
     its maximal proper subclasses, ``letter_classes[b]`` is the bitset of
-    the classes that contain letter b, and ``pairs`` holds (lo, hi) with lo
-    below-or-equal hi."""
+    the classes that contain letter b, and ``core_bits[i]`` that of class
+    i's core.  ``pairs`` ((lo, hi) with lo below-or-equal hi) and ``cores``
+    (class to core) are derived on first use; a decision reads neither."""
 
     matrix: TransitionMatrix
     classes: tuple[int, ...]
-    pairs: frozenset[tuple[int, int]]
-    cores: dict[int, frozenset[int]] = field(hash=False)
     index: dict[int, int] = field(hash=False)
-    down: tuple[int, ...] = field(hash=False)
-    maxsub: tuple[int, ...] = field(hash=False)
-    letter_classes: tuple[int, ...] = field(hash=False)
+    down: tuple[int, ...]
+    maxsub: tuple[int, ...]
+    letter_classes: tuple[int, ...]
+    core_bits: tuple[int, ...]
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        c = self.classes
+        return frozenset((c[a], c[b]) for b, d in enumerate(self.down) for a in _bits(d))
+
+    @cached_property
+    def cores(self) -> dict[int, frozenset[int]]:
+        c = self.classes
+        return {v: frozenset(c[g] for g in _bits(m)) for v, m in zip(c, self.core_bits)}
 
     def leq(self, a: int, b: int) -> bool:
         return (a, b) in self.pairs
@@ -161,20 +173,20 @@ class CoreOrder:
         """``covers_below(T, v)`` read off the bitsets: ((), u) for each
         maximal proper subclass u of v, then ((b,), row b) for each letter b
         of v in no proper subclass."""
-        flat = [self.classes[j] for j in _bits(self.maxsub[self.index[v]])]
-        inner = 0
-        for u in flat:
-            inner |= u
-        return tuple(HullIdempotent((), u) for u in flat) + tuple(
-            HullIdempotent((b,), self.matrix.rows[b]) for b in _bits(v & ~inner)
-        )
+        return self.label_covers(v, guarded=False)
 
-    def label_covers(self, v: int) -> tuple[HullIdempotent, ...]:
+    def label_covers(self, v: int, guarded: bool = True) -> tuple[HullIdempotent, ...]:
         """The covers that label v: all but the F-type ones (each the
-        representative of its own class) whose class is below v."""
-        below = self.down[self.index[v]]
-        return tuple(
-            f for f in self.covers(v) if f.word or not below >> self.index[f.vec] & 1
+        representative of its own class) whose class is below v; every
+        cover when not ``guarded``."""
+        i = self.index[v]
+        classes, sub = self.classes, self.maxsub[i]
+        inner = 0
+        for j in _bits(sub):
+            inner |= classes[j]
+        flat = sub & ~self.down[i] if guarded else sub
+        return tuple(HullIdempotent((), classes[j]) for j in _bits(flat)) + tuple(
+            HullIdempotent((b,), self.matrix.rows[b]) for b in _bits(v & ~inner)
         )
 
 
@@ -187,8 +199,7 @@ class CountedOrder:
 
     Every class must come after the classes below it, so that fixing the
     classes in index order fixes each down-set with its top; ``ValueError``
-    otherwise.  ``build_order`` always meets this: its classes are sorted
-    masks, and its order lies inside the subset order.
+    otherwise.  ``build_order`` checks this.
     """
 
     def __init__(self, order: CoreOrder, counts: Counts):
@@ -242,6 +253,12 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
     it meets the OR over its letters.  It returns what the ``core_of_at``
     reference gives with the pair closure and the meet scan over its cores,
     and covers equal to ``covers_below``; the tests check that they agree.
+
+    Antisymmetry is checked as triangularity, ``down[b] >> b + 1 == 0``: if
+    a <= b <= a, a is listed at or before b and b at or before a.  This is
+    stronger, and always holds: ``down[g]`` takes bits of ``sub[g]`` only,
+    and the closure joins down-sets of subclasses only, so the order lies
+    inside the subset relation, over sorted distinct masks.
     """
     classes = f_classes(T)
     k = len(classes)
@@ -277,17 +294,15 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
         maxsub.append(proper & ~lower)
 
     down = [0] * k
-    cores = {}
+    core_bits = []
     for v in range(k):
         core = rest = _core(v, classes, index, maxsub, inc)
-        members = []
+        core_bits.append(core)
         while rest:
             low = rest & -rest
             g = low.bit_length() - 1
             down[g] |= sub[g] & core
-            members.append(classes[g])
             rest ^= low
-        cores[classes[v]] = frozenset(members)
     # Warshall's closure: the order lies inside the subset relation, so only
     # the supersets of c can have c below them
     for c in range(k):
@@ -300,16 +315,13 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
                 down[i] |= dc
             rest ^= low
 
-    pairs = []
-    for b in range(k):
-        hi = classes[b]
-        for a in _bits(down[b]):
-            if a != b and down[a] >> b & 1:
-                raise InvariantViolation(
-                    f"class order is not antisymmetric: "
-                    f"{T.fmt_vec(classes[a])} ~ {T.fmt_vec(hi)}"
-                )
-            pairs.append((classes[a], hi))
+    for b, db in enumerate(down):
+        if db >> b + 1:
+            raise InvariantViolation(
+                f"class order is not antisymmetric: "
+                f"{T.fmt_vec(classes[db.bit_length() - 1])} is below "
+                f"{T.fmt_vec(classes[b])} but listed after it"
+            )
     # CoreOrder.meet relies on these checks.  Both are symmetric in a and b,
     # and hold for a = b since down-sets are reflexive.
     for i, a in enumerate(classes):
@@ -329,8 +341,7 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
                     f"AND class of {T.fmt_vec(a)}, {T.fmt_vec(b)} is not the glb"
                 )
     return CoreOrder(
-        T, classes, frozenset(pairs), cores, index, tuple(down), tuple(maxsub),
-        tuple(has),
+        T, classes, index, tuple(down), tuple(maxsub), tuple(has), tuple(core_bits)
     )
 
 

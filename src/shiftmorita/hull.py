@@ -7,14 +7,16 @@ by None throughout; it is absorbing under products.
 
 Products, the natural order, covering relations and D-class representatives
 all reduce to prefix comparisons and bitmask intersections on these pairs.
+``HullIdempotent`` is a named tuple: it is built, hashed and ordered as the
+plain tuple (word, vec), and compares equal to that tuple.
 The ``oracle`` module recomputes everything here by composing truncated
 partial bijections; tests require the two sides to agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .shift import (
     CACHE_MAXSIZE,
@@ -27,8 +29,7 @@ from .shift import (
 )
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class HullIdempotent:
+class HullIdempotent(NamedTuple):
     word: Word
     vec: int
 

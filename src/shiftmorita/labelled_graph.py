@@ -5,10 +5,11 @@ its representative that is not itself a representative of a class below a,
 there is one edge into a from every vertex below f's class, all carrying
 the label (a, f).  Equal labels force equal ranges by construction, which
 is the strongly-right-resolving property the path algebra relies on.  The
-covers, their guard and the down-sets are read off the class order's
-bitsets (``CoreOrder.label_covers`` and ``CoreOrder.below``), which list
-them in order, so the labels come out in ``Label.key`` order and the edges
-in (label, source) order without a sort.
+covers with their guard (``CoreOrder.label_covers``) and each fan's
+sources (the bits of ``CoreOrder.down`` at the cover's class) are read off
+the class order's bitsets in order, so the labels come out in ``Label.key``
+order and the edges in (label, source) order without a sort.  ``Label`` and
+``Edge`` are named tuples, built, hashed and ordered as plain tuples.
 
 ``cached_graph`` keeps the graph of each recent matrix, so that repeated
 decisions against one matrix build its graph once.  A graph is shared by
@@ -17,19 +18,18 @@ every caller that gets it from the cache and is never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .core_order import CoreOrder, CountedOrder, cached_order
+from .core_order import CoreOrder, CountedOrder, _bits, cached_order
 from .hull import HullIdempotent, dclass_rep, fmt_idem
 from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix
 
 GREEK = "αβγδζηθικλμνξπρστυφχψω"
 
 
-@dataclass(frozen=True, slots=True)
-class Label:
+class Label(NamedTuple):
     """(vertex, cover) pair; the cover's class fixes the source set."""
 
     vertex: int
@@ -43,8 +43,7 @@ class Label:
         return (self.vertex, self.cover.key())
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     range: int
     label: Label
     source: int
@@ -113,13 +112,13 @@ class LabelledGraph:
 
 def build_graph(T: TransitionMatrix) -> LabelledGraph:
     order = cached_order(T)
-    labels: list[Label] = []
-    edges: list[Edge] = []
-    for a in order.classes:
+    classes, index, down = order.classes, order.index, order.down
+    labels, edges = [], []
+    for a in classes:
         for f in order.label_covers(a):
             lab = Label(a, f)
             labels.append(lab)
-            edges.extend(Edge(a, lab, b) for b in order.below(dclass_rep(f)))
+            edges.extend(Edge(a, lab, classes[b]) for b in _bits(down[index[f.vec]]))
     return LabelledGraph(T, order, tuple(labels), tuple(edges))
 
 

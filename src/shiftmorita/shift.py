@@ -34,7 +34,8 @@ class TransitionMatrix:
     """Ordered alphabet plus one follower bitmask per letter.
 
     Bit i of every mask refers to ``symbols[i]``; the input order of the
-    symbols is authoritative and fixes bit positions for all outputs.
+    symbols is authoritative and fixes bit positions for all outputs.  The
+    hash, that of ``(symbols, rows)``, is computed once.
     """
 
     symbols: tuple[str, ...]
@@ -47,6 +48,14 @@ class TransitionMatrix:
         for s, row in zip(self.symbols, self.rows):
             if row >> n:
                 raise ValueError(f"row {s!r} has bits beyond the {n}-letter alphabet")
+        object.__setattr__(self, "_hash", hash((self.symbols, self.rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string's hash differs between processes
+        return TransitionMatrix, (self.symbols, self.rows)
 
     @property
     def n(self) -> int:

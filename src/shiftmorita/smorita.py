@@ -68,6 +68,11 @@ def make_sidem(
     upper bound with a zero meet have a zero product (``check_meet_identity``
     verifies it, and criterion 3 runs that check).  So u^j1 and j1^j2 have
     a common lower bound, which lies below u and j2: u meets j2.
+
+    So the fold from u (in the group) is the AND of the group's masks: each
+    partial fold m is valid and below u, so in the group, and meets the next
+    class j; a nonzero meet is the AND class.  Only the AND's membership
+    is left to check.
     """
     if g is None:
         return None
@@ -79,16 +84,13 @@ def make_sidem(
     i = order.index.get(u)
     if i is None or not valid >> i & 1:
         raise ValueError("middle does not sit below the outer class")
-    group = 0
+    du, least, group = order.down[i], u, 0
     for j in _bits(valid):
-        if order.down[j] & order.down[i]:
+        if order.down[j] & du:
             group |= 1 << j
-    least = u
-    for j in _bits(group):
-        least = order.meet(least, order.classes[j])
-        if least is None:
-            raise InvariantViolation("equality class of a triple has no meet")
-    if not group >> order.index[least] & 1:
+            least &= order.classes[j]
+    m = order.index.get(least)
+    if m is None or not group >> m & 1:
         raise InvariantViolation("least equivalent class does not carry the middle")
     return SIdem(least, g)
 

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from shiftmorita.cli import main
+from shiftmorita.sweeps import all_matrices, permuted_copy
 
 from conftest import DIAMOND_TEXT
 from test_shift import decorated_texts
@@ -216,3 +219,47 @@ class TestUsage:
         monkeypatch.setattr(cli, "cmd_order", boom)
         assert main(["order", matrix_file]) == 3
         assert "invariant" in capsys.readouterr().err
+
+
+def matrix_text(T) -> str:
+    return " ".join(T.symbols) + "\n" + "".join(
+        "".join("1" if r >> j & 1 else "0" for j in range(T.n)) + "\n" for r in T.rows
+    )
+
+
+class TestGoldenDigest:
+    # SHA-256 of the transcript below, recorded before the value types,
+    # the bitset label covers and the lazy pairs/cores; any change to a
+    # report or an exit code changes it
+    DIGEST = "b44536ee93eaa17a9bcd958e690b64fc84cc705d6c492dada79ef64beacf5255"
+
+    def test_reports_match_the_recorded_digest(self, tmp_path):
+        """``fgraph``, ``order --json``, ``cores`` and ``cd`` on every matrix
+        with at most 2 letters and a seeded sample of 3-letter ones, and
+        ``decide`` (plain and ``--cross-check``) of each against its
+        letter-reversed copy and against the matrix before it."""
+        three = [T for T in all_matrices(3) if T.n == 3]
+        mats = [*all_matrices(2), *random.Random(14).sample(three, 30)]
+        paths = []
+        for i, T in enumerate(mats):
+            paths.append((
+                write(tmp_path, f"m{i}.mx", matrix_text(T)),
+                write(tmp_path, f"r{i}.mx", matrix_text(
+                    permuted_copy(T, list(range(T.n))[::-1])
+                )),
+            ))
+        digest = hashlib.sha256()
+        for i, (path, rev) in enumerate(paths):
+            prev = paths[i - 1][0]
+            runs = [
+                ["fgraph", path], ["order", path, "--json"], ["cores", path],
+                ["cd", path], ["decide", path, rev], ["decide", path, prev],
+                ["decide", path, rev, "--cross-check"],
+                ["decide", path, prev, "--cross-check"],
+            ]
+            for argv in runs:
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = main(argv)
+                digest.update(f"{i} {argv[0]} {code}\n{out.getvalue()}".encode())
+        assert digest.hexdigest() == self.DIGEST

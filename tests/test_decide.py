@@ -137,13 +137,13 @@ class TestIsomorphism:
         order = CoreOrder(
             None,
             classes,
-            frozenset((v, v) for v in classes),
-            {},
             {v: i for i, v in enumerate(classes)},
             tuple(1 << i for i in range(k)),
             (0,) * k,
             (),
+            (),
         )
+        assert order.pairs == frozenset((v, v) for v in classes)
         G = LabelledGraph(None, order, (), ())
         w = graphs_isomorphic_ordered(G, G)
         assert w is not None
@@ -251,7 +251,9 @@ def hand_built_order(classes, pairs) -> CoreOrder:
         sum(1 << index[lo] for lo, hi in pairs if hi == v) for v in classes
     )
     k = len(classes)
-    return CoreOrder(None, classes, frozenset(pairs), {}, index, down, (0,) * k, ())
+    order = CoreOrder(None, classes, index, down, (0,) * k, (), ())
+    assert order.pairs == frozenset(pairs)
+    return order
 
 
 class TestOrderIsomorphisms:
@@ -422,6 +424,20 @@ class TestGraphCache:
             v = decide_morita(T1, T2)
             assert v.certificate.startswith("vertex profiles differs")
         assert len(built) == 2
+
+    def test_fresh_decide_builds_neither_pairs_nor_cores(self):
+        """The decision reads the order's bitsets only: ``pairs`` and
+        ``cores`` stay unbuilt on both fresh orders."""
+        from shiftmorita.core_order import cached_order
+
+        T1 = TransitionMatrix(("p3", "q3", "r3"), (0b011, 0b110, 0b111))
+        T2 = TransitionMatrix(("p4", "q4", "r4"), (0b111, 0b011, 0b110))
+        assert decide_morita(T1, T2).equivalent
+        for T in (T1, T2):
+            order = cached_order(T)
+            assert "pairs" not in vars(order) and "cores" not in vars(order)
+            assert (order.classes[0], order.classes[-1]) in order.pairs
+            assert "pairs" in vars(order)
 
 
 class TestCertificate:

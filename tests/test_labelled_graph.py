@@ -2,7 +2,7 @@ import pytest
 
 from shiftmorita.core_order import cached_order
 from shiftmorita.hull import covers_below, dclass_rep, make_idem
-from shiftmorita.labelled_graph import build_graph, to_dot
+from shiftmorita.labelled_graph import Edge, Label, LabelledGraph, build_graph, to_dot
 from shiftmorita.sweeps import all_matrices
 
 from conftest import mx, seeded_matrices
@@ -140,6 +140,53 @@ class TestBuildOrder:
             assert keys == sorted(set(keys)), T.rows
             edge_keys = [(e.label.key(), e.source) for e in G.edges]
             assert edge_keys == sorted(set(edge_keys)), T.rows
+
+
+def reference_build_graph(T):
+    """The graph by the rule as stated: every cover of each vertex's
+    representative (``covers_below``), less the F-type ones whose class is
+    below the vertex, each with one edge from every vertex at or below the
+    cover's class (``CoreOrder.below``)."""
+    order = cached_order(T)
+    labels, edges = [], []
+    for a in order.classes:
+        for f in covers_below(T, a):
+            if not f.word and order.leq(f.vec, a):
+                continue
+            lab = Label(a, f)
+            labels.append(lab)
+            edges.extend(Edge(a, lab, b) for b in order.below(dclass_rep(f)))
+    return LabelledGraph(T, order, tuple(labels), tuple(edges))
+
+
+class TestBitsetLabelCovers:
+    def test_matches_the_covers_and_filter_reference(self):
+        """Labels and edges, in order, equal those of the reference on every
+        matrix with at most 3 letters and the seeded 4-7-letter sample."""
+        for T in list(all_matrices(3)) + seeded_matrices():
+            G, R = build_graph(T), reference_build_graph(T)
+            assert G.labels == R.labels, T.rows
+            assert G.edges == R.edges, T.rows
+
+
+class TestValueTypes:
+    def test_hash_order_and_repr_are_those_of_plain_tuples(self, diamond_graph):
+        e = diamond_graph.edges[0]
+        lab, f = e.label, e.label.cover
+        for x, fields in ((f, (f.word, f.vec)), (lab, (lab.vertex, f)),
+                          (e, (e.range, lab, e.source))):
+            assert x == fields and hash(x) == hash(fields)
+        assert repr(f) == f"HullIdempotent(word={f.word!r}, vec={f.vec!r})"
+        assert repr(lab) == f"Label(vertex={lab.vertex!r}, cover={f!r})"
+        assert repr(e) == (
+            f"Edge(range={e.range!r}, label={lab!r}, source={e.source!r})"
+        )
+        labels = list(diamond_graph.labels)
+        assert sorted(labels, reverse=True) == sorted(
+            labels, key=lambda x: (x.vertex, x.cover.word, x.cover.vec), reverse=True
+        )
+        assert lab.src_class == f.vec
+        assert lab.key() == (lab.vertex, (len(f.word), f.word, f.vec))
 
 
 class TestSharedGraph:

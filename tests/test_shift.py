@@ -180,6 +180,19 @@ class TestMatrixShape:
             TransitionMatrix(("a",), (-1,))
         assert TransitionMatrix(("a", "b"), (0b11, 0b10)).n == 2
 
+    def test_hash_is_that_of_symbols_and_rows(self):
+        import pickle
+
+        a = TransitionMatrix(("a", "b"), (0b11, 0b10))
+        b = TransitionMatrix(tuple("ab"), (3, 2))
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash((("a", "b"), (3, 2)))
+        # a pickle carries the fields, not this process's string hashes
+        assert b"_hash" not in pickle.dumps(a)
+        assert pickle.loads(pickle.dumps(a)) == a
+        for T in seeded_matrices(letters=(4,), per_cell=2):
+            assert hash(T) == hash((T.symbols, T.rows))
+
     def test_seeded_sample_reaches_past_eight_letters(self):
         sample = seeded_matrices(letters=(9, 12), densities=(0.5,), per_cell=2)
         assert [T.n for T in sample] == [9, 9, 12, 12]

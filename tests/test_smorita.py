@@ -237,3 +237,67 @@ class TestMakeSidemMatchesReference:
                 calls += 1
                 errors += isinstance(want, tuple)
         assert calls > 40000 and 0 < errors < calls
+
+
+def fold_make_sidem(T, order, u, g):
+    """``make_sidem`` by the meet fold over the one-pass group, the form
+    that the AND of the group's masks replaces."""
+    from shiftmorita.core_order import _bits
+
+    valid = (1 << len(order.classes)) - 1
+    for b in g.word or _bits(g.vec):
+        valid &= order.letter_classes[b]
+    i = order.index[u]
+    least = u
+    for j in _bits(valid):
+        if order.down[j] & order.down[i]:
+            least = order.meet(least, order.classes[j])
+            if least is None:
+                raise InvariantViolation("equality class of a triple has no meet")
+    return SIdem(least, g)
+
+
+class TestMaskAndMatchesFold:
+    def test_every_call_of_the_cd_products(self, monkeypatch):
+        """Every ``make_sidem`` call that building each CD and its full
+        product table makes, on every matrix with at most 3 letters and the
+        seeded 4-7-letter sample, equals the meet fold."""
+        import shiftmorita.smorita as sm
+
+        calls = []
+
+        def checked(T, order, u, g):
+            got = make_sidem(T, order, u, g)
+            if g is not None:
+                assert got == fold_make_sidem(T, order, u, g), (T.rows, u, g)
+                calls.append(got)
+            return got
+
+        monkeypatch.setattr(sm, "make_sidem", checked)
+        for T in list(all_matrices(3)) + seeded_matrices():
+            cd = build_cd(T)
+            for x in cd.elements:
+                for y in cd.elements:
+                    cd.product(x, y)
+        assert len(calls) > 30000
+
+    def test_an_and_outside_the_group_raises(self, diamond):
+        """On an order that breaks the representative-product identity the
+        AND of the group can leave it; ``make_sidem`` raises instead of
+        returning that class.  Here {a,b} sits below {b,c} and {b} below
+        neither, so the group of {a,b} with middle ({}, {b}) is {a,b}, {b,c},
+        {a,b,c}, and its AND is {b}."""
+        import dataclasses
+
+        order = cached_order(diamond)
+        ab, bc, b = (diamond.mask_of(x) for x in ("ab", "bc", "b"))
+        down = list(order.down)
+        i, j = order.index[ab], order.index[bc]
+        down[i] = 1 << i
+        down[j] = 1 << j | 1 << i
+        broken = dataclasses.replace(order, down=tuple(down))
+        g = base_idem(diamond, b)
+        # the fold alone would settle on {b}, outside the group
+        assert fold_make_sidem(diamond, broken, ab, g) == SIdem(b, g)
+        with pytest.raises(InvariantViolation, match="does not carry the middle"):
+            make_sidem(diamond, broken, ab, g)
