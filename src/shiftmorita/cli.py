@@ -25,7 +25,7 @@ def _load(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_matrix(fh.read())
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise MatrixFormatError(f"cannot read {path}: {ex}") from ex
 
 
@@ -64,8 +64,12 @@ def cmd_fgraph(args) -> int:
     }
     _emit(report, args.json)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(G))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(to_dot(G))
+        except OSError as ex:
+            print(f"error: cannot write {args.dot}: {ex}", file=sys.stderr)
+            return 2
     return 0
 
 
@@ -154,7 +158,11 @@ def cmd_oracle_check(args) -> int:
         print("oracle depth must be >= 4", file=sys.stderr)
         return 2
     T = _load(args.file)
-    oracle = (_MismatchedOracle if args.corrupt else Oracle)(T, args.depth)
+    try:
+        oracle = (_MismatchedOracle if args.corrupt else Oracle)(T, args.depth)
+    except ValueError as ex:
+        print(f"error: {ex}; try a smaller --depth", file=sys.stderr)
+        return 2
     fails = oracle_failures(T, oracle)
     for msg in fails:
         print(f"MISMATCH: {msg}")

@@ -21,6 +21,13 @@ and ``hull.covers_below_at`` work on ``HullIdempotent`` sets; they are the
 references the tests and sweeps check the kernel against, and they validate
 the depth-0 restriction of the class order against conjugated corners
 instead of assuming it.
+
+``CountedOrder`` is the one owner of the items grouped on pairs of classes
+that decide Morita equivalence: a graph's labels by (range vertex, cover
+class) and the combinatorial data's guarded covers by (outer class,
+D-class).  The isomorphism search reads the group sizes as counts, and
+``CountedOrder.carry`` zips the groups along the class bijection it finds,
+for both searches.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from typing import Any, Iterable
 
 from .hull import (
     HullIdempotent,
@@ -37,10 +45,6 @@ from .hull import (
     make_idem,
 )
 from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, Word, f_classes
-
-
-# {(v, c): n} on pairs of classes, as ``CountedOrder`` takes them
-Counts = dict[tuple[int, int], int]
 
 
 def core_of_at(
@@ -191,32 +195,37 @@ class CoreOrder:
 
 
 class CountedOrder:
-    """A class order with counts on pairs (v, c) of classes (for a graph,
-    the labels at v with cover class c), as the isomorphism search reads it:
-    down-sets as bitsets over class indices; per class, the counts at it by
-    c (``at``) and into it by v (``into``) as (class index, n) pairs; and
-    each class's profile, an invariant of count-preserving isomorphisms.
+    """A class order with items grouped on pairs (v, c) of classes, as the
+    isomorphism search reads it: down-sets as bitsets over class indices;
+    per class, the group sizes at it by c (``at``) and into it by v
+    (``into``) as (class index, n) pairs; and each class's profile, an
+    invariant of count-preserving isomorphisms.  ``groups`` keeps each
+    group's items in the order given, for ``carry``.
 
     Every class must come after the classes below it, so that fixing the
     classes in index order fixes each down-set with its top; ``ValueError``
     otherwise.  ``build_order`` checks this.
     """
 
-    def __init__(self, order: CoreOrder, counts: Counts):
+    def __init__(self, order: CoreOrder, items: Iterable[tuple[tuple[int, int], Any]]):
         self.classes = classes = order.classes
         index = order.index
         self.down = down = order.down
         if any(d >> i + 1 for i, d in enumerate(down)):
             raise ValueError("a class is listed before a class below it")
+        grouped: dict[tuple[int, int], list] = {}
+        for key, item in items:
+            grouped.setdefault(key, []).append(item)
+        self.groups = {key: tuple(group) for key, group in grouped.items()}
         up = [0] * len(classes)
         for b, db in enumerate(down):
             for a in _bits(db):
                 up[a] |= 1 << b
         at: list[list[tuple[int, int]]] = [[] for _ in classes]
         into: list[list[tuple[int, int]]] = [[] for _ in classes]
-        for (v, c), n in counts.items():
-            at[index[v]].append((index[c], n))
-            into[index[c]].append((index[v], n))
+        for (v, c), group in grouped.items():
+            at[index[v]].append((index[c], len(group)))
+            into[index[c]].append((index[v], len(group)))
         self.at = [tuple(x) for x in at]
         self.into = [tuple(y) for y in into]
         into_total = [sum(n for _, n in y) for y in into]
@@ -232,6 +241,16 @@ class CountedOrder:
             )
             for i in range(len(classes))
         ]
+
+    def carry(self, other: "CountedOrder", sigma: dict[int, int]) -> dict:
+        """The item bijection over a class bijection sigma: each group at
+        (v, c), in order, onto the group of ``other`` at (sigma v, sigma c).
+        ``InvariantViolation`` when two such groups differ in size, which a
+        count-preserving sigma rules out."""
+        image = {(sigma[v], sigma[c]): group for (v, c), group in self.groups.items()}
+        if any(len(other.groups.get(k, ())) != len(g) for k, g in image.items()):
+            raise InvariantViolation("groups of an order isomorphism differ in size")
+        return {x: y for k, g in image.items() for x, y in zip(g, other.groups[k])}
 
 
 def _bits(x: int):

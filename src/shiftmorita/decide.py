@@ -7,13 +7,14 @@ of its cover's class, a vertex bijection extends to a full isomorphism iff
 it matches the order relation and, for every pair (vertex, class), the
 number of labels at the vertex whose cover lies in that class.
 
-``order_isomorphisms`` enumerates those bijections, pruned by vertex
-profiles and checked on down-sets only.  The graph search here and the CD
-search in ``smorita`` share it, and each takes the first bijection it
-yields: every one extends, to the edge-level witness (re-verified edge by
-edge) or to the full product table, so a failure to extend is an
-``InvariantViolation``.  The graph search reads each graph's
-``counted_order``, built once per graph.
+``order_isomorphisms`` enumerates those bijections between two
+``CountedOrder``s, pruned by vertex profiles and checked on down-sets
+only.  The graph search here and the CD search in ``smorita`` share it,
+and each takes the first bijection it yields and carries its groups along
+it with ``CountedOrder.carry``: every one extends, to the edge-level
+witness (re-verified edge by edge) or to the full product table, so a
+failure to extend is an ``InvariantViolation``.  The graph search reads
+each graph's ``counted_order``, built once per graph.
 
 ``decide_morita`` takes both graphs from ``labelled_graph.cached_graph``, so
 that comparing many matrices against a few builds each graph once.  A
@@ -24,11 +25,12 @@ agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .core_order import CoreOrder, CountedOrder, Counts, _bits
+from .core_order import CountedOrder, _bits
 # build_graph stays a module attribute here, where bench/spans.py wraps it
 from .labelled_graph import Edge, Label, LabelledGraph, build_graph, cached_graph
 from .shift import InvariantViolation, TransitionMatrix
@@ -51,14 +53,8 @@ class Verdict:
 
 
 def order_isomorphisms(
-    o1: CoreOrder, counts1: Counts, o2: CoreOrder, counts2: Counts
+    s1: CountedOrder, s2: CountedOrder
 ) -> Iterator[dict[int, int]]:
-    """Yield each order isomorphism sigma with counts2[(sigma a, sigma c)]
-    == counts1[(a, c)] for all classes a, c (see ``_search``)."""
-    return _search(CountedOrder(o1, counts1), CountedOrder(o2, counts2))
-
-
-def _search(s1: CountedOrder, s2: CountedOrder) -> Iterator[dict[int, int]]:
     """The count-preserving order isomorphisms, depth-first with an
     explicit stack.  Class i of s1 is fixed at depth i; its candidates, the
     classes of s2 with its profile, are tried in index order and kept when
@@ -125,13 +121,7 @@ def _extend_witness(
     its source class, and pi0 carries down-sets onto down-sets, so the
     edges correspond too.  A failure is an ``InvariantViolation``.
     """
-    by_key_2 = G2.label_groups()
-    pi2: dict[Label, Label] = {}
-    for (a, c), group in G1.label_groups().items():
-        partners = by_key_2.get((pi0[a], pi0[c]), ())
-        if len(partners) != len(group):
-            raise InvariantViolation("label groups of an order isomorphism differ")
-        pi2.update(zip(group, partners))
+    pi2 = G1.counted_order.carry(G2.counted_order, pi0)
     witness = IsoWitness(
         tuple(sorted(pi0.items())),
         tuple((lab, pi2[lab]) for lab in G1.labels),
@@ -192,7 +182,7 @@ def graphs_isomorphic_ordered(
         return None
     if len(G1.labels) != len(G2.labels) or len(G1.edges) != len(G2.edges):
         return None
-    pi0 = next(_search(G1.counted_order, G2.counted_order), None)
+    pi0 = next(order_isomorphisms(G1.counted_order, G2.counted_order), None)
     return None if pi0 is None else _extend_witness(G1, G2, pi0)
 
 
@@ -207,8 +197,7 @@ def brute_force_isomorphic(G1: LabelledGraph, G2: LabelledGraph) -> bool:
     if len(G1.labels) != len(G2.labels) or len(G1.edges) != len(G2.edges):
         return False
     o1, o2 = G1.order, G2.order
-    counts1 = G1.label_counts()
-    counts2 = G2.label_counts()
+    counts2 = Counter((lab.vertex, lab.src_class) for lab in G2.labels)
     v1, v2 = G1.vertices, G2.vertices
     for perm in permutations(range(n)):
         pi0 = {v1[i]: v2[perm[i]] for i in range(n)}
@@ -216,12 +205,9 @@ def brute_force_isomorphic(G1: LabelledGraph, G2: LabelledGraph) -> bool:
             o1.leq(a, b) != o2.leq(pi0[a], pi0[b]) for a in v1 for b in v1
         ):
             continue
-        if any(
-            counts2.get((pi0[a], pi0[d]), 0) != c
-            for (a, d), c in counts1.items()
-        ):
+        if Counter((pi0[lab.vertex], pi0[lab.src_class]) for lab in G1.labels) != counts2:
             continue
-        # equal totals plus matching per-key counts force a full witness
+        # matching per-key counts force a full witness
         _extend_witness(G1, G2, pi0)
         return True
     return False

@@ -15,11 +15,9 @@ partial bijections; tests require the two sides to agree.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .shift import (
-    CACHE_MAXSIZE,
     InvariantViolation,
     TransitionMatrix,
     Word,
@@ -62,7 +60,6 @@ def base_idem(T: TransitionMatrix, vec: int) -> HullIdempotent:
     return e
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def fclass_witness(T: TransitionMatrix, vec: int) -> tuple[int, ...]:
     """Letters whose rows realize ``vec`` as their intersection."""
     letters = tuple(a for a in range(T.n) if T.rows[a] & vec == vec)

@@ -10,6 +10,8 @@ sources (the bits of ``CoreOrder.down`` at the cover's class) are read off
 the class order's bitsets in order, so the labels come out in ``Label.key``
 order and the edges in (label, source) order without a sort.  ``Label`` and
 ``Edge`` are named tuples, built, hashed and ordered as plain tuples.
+Each graph's ``counted_order`` groups its labels by (range vertex, cover
+class) for the isomorphism search and the witness.
 
 ``cached_graph`` keeps the graph of each recent matrix, so that repeated
 decisions against one matrix build its graph once.  A graph is shared by
@@ -76,22 +78,13 @@ class LabelledGraph:
             }
         )
 
-    def label_groups(self) -> dict[tuple[int, int], list[Label]]:
-        """Labels per (range vertex, cover class), in ``labels`` order."""
-        groups: dict[tuple[int, int], list[Label]] = {}
-        for lab in self.labels:
-            groups.setdefault((lab.vertex, lab.src_class), []).append(lab)
-        return groups
-
-    def label_counts(self) -> dict[tuple[int, int], int]:
-        """#labels per (range vertex, cover class)."""
-        return {key: len(group) for key, group in self.label_groups().items()}
-
     @cached_property
     def counted_order(self) -> CountedOrder:
-        """The vertex order with the label counts, for the search; built
-        once per graph."""
-        return CountedOrder(self.order, self.label_counts())
+        """The vertex order with the labels grouped by (range vertex, cover
+        class), for the search and the witness; built once per graph."""
+        return CountedOrder(
+            self.order, (((lab.vertex, lab.src_class), lab) for lab in self.labels)
+        )
 
     def _check(self) -> None:
         """Each edge's label is at its range, so equal labels (equal

@@ -25,10 +25,12 @@ hand-built counterexample graphs can be analysed too.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Sequence
 
+from .core_order import _bits
 from .labelled_graph import LabelledGraph
 from .shift import InvariantViolation
 
@@ -63,8 +65,6 @@ def relative_source_raw(
     frontier = frozenset(A)
     for lab in alpha:
         frontier = frozenset(s for r, l, s in raw.edges if l == lab and r in frontier)
-        if not frontier:
-            break
     return frontier
 
 
@@ -144,22 +144,14 @@ class LgisEngine:
         """Label j may follow label i inside a labelled path."""
         return self.order.leq(self.ranges[j], self.srcs[i])
 
-    def path_valid(self, p: Path) -> bool:
-        return all(self.compatible(i, j) for i, j in zip(p, p[1:]))
-
     def paths(self, maxlen: int) -> list[Path]:
+        labels = range(self.nlabels)
+        follow = [[j for j in labels if self.compatible(i, j)] for i in labels]
         out: list[Path] = [()]
-        level: list[Path] = [(i,) for i in range(self.nlabels)]
+        level: list[Path] = [(i,) for i in labels]
         for _ in range(maxlen):
-            if not level:
-                break
             out.extend(level)
-            level = [
-                p + (j,)
-                for p in level
-                for j in range(self.nlabels)
-                if self.compatible(p[-1], j)
-            ]
+            level = [p + (j,) for p in level for j in follow[p[-1]]]
         return out
 
     def relative_source(self, A: "int | None", p: Path) -> "int | None":
@@ -170,18 +162,13 @@ class LgisEngine:
             return self.srcs[p[-1]]
         return None
 
-    def source_class(self, p: Path) -> "int | None":
-        """The vertex whose B-set is s(p); None means s(p) = E^0 (p empty)."""
-        return self.srcs[p[-1]] if p else None
-
     # ----- elements ----------------------------------------------------
 
     def element(self, alpha: Path, A: int, beta: Path) -> Element:
         for p in (alpha, beta):
-            cap = self.source_class(p)
-            if cap is not None and not self.order.leq(A, cap):
+            if not self._cap_down(p) >> self.order.index[A] & 1:
                 raise ValueError("middle set not contained in a source set")
-            if not self.path_valid(p):
+            if not all(self.compatible(i, j) for i, j in zip(p, p[1:])):
                 raise ValueError("invalid labelled path")
         return (alpha, A, beta)
 
@@ -224,9 +211,7 @@ class LgisEngine:
         if k < 0 or len(beta) - len(delta) != k:
             return False
         mu = alpha[len(gamma):]
-        if alpha[: len(gamma)] != gamma or beta[: len(delta)] != delta:
-            return False
-        if beta[len(delta):] != mu:
+        if alpha[: len(gamma)] != gamma or beta != delta + mu:
             return False
         src = self.relative_source(B, mu)
         return src is not None and self.order.leq(A, src)
@@ -276,22 +261,36 @@ class LgisEngine:
                 out += [(i, j) for j in ys if self.leq(x, elems[j])]
         return out
 
+    def _cap_down(self, p: Path) -> int:
+        """The classes inside s(p), as a bitset: all of them for the empty path."""
+        if not p:
+            return (1 << len(self.order.classes)) - 1
+        return self.order.down[self.order.index[self.srcs[p[-1]]]]
+
     def enumerate_elements(self, maxlen: int) -> list[Element]:
         """Zero plus every (alpha, A, beta) with path lengths <= maxlen,
         in a deterministic order."""
         paths = sorted(self.paths(maxlen), key=lambda p: (len(p), p))
-        out: list[Element] = [None]
-        for alpha in paths:
-            cap_a = self.source_class(alpha)
-            for beta in paths:
-                cap_b = self.source_class(beta)
-                for v in self.order.classes:
-                    if cap_a is not None and not self.order.leq(v, cap_a):
-                        continue
-                    if cap_b is not None and not self.order.leq(v, cap_b):
-                        continue
-                    out.append((alpha, v, beta))
+        caps = [self._cap_down(p) for p in paths]
+        classes, out = self.order.classes, [None]
+        for alpha, da in zip(paths, caps):
+            for beta, db in zip(paths, caps):
+                out.extend((alpha, classes[v], beta) for v in _bits(da & db))
         return out
+
+    def count_elements(self, maxlen: int) -> int:
+        """``len(enumerate_elements(maxlen))`` without listing a path: the
+        paths are counted level by level per last label, and summed per
+        cap; each pair of caps gives count * count * |cap ∩ cap| elements."""
+        labels = range(self.nlabels)
+        ends, caps = [1] * self.nlabels, Counter({self._cap_down(()): 1})
+        for _ in range(maxlen):
+            for j, n in enumerate(ends):
+                caps[self._cap_down((j,))] += n
+            ends = [sum(ends[i] for i in labels if self.compatible(i, j)) for j in labels]
+        return 1 + sum(
+            m * n * (a & b).bit_count() for a, m in caps.items() for b, n in caps.items()
+        )
 
 
 _BITS = 21  # width of each packed key field: alpha id, beta id, middle vertex
@@ -328,21 +327,16 @@ class ProductTables:
     def __init__(self, eng: LgisEngine, elems: Sequence[Element]):
         import numpy as np
 
-        order = eng.order
-        self.vertices = tuple(order.classes)
-        k = len(self.vertices)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._empty = k
+        self.order = order = eng.order
+        k = self._empty = len(order.classes)
         self._leq = np.zeros((k + 1, k + 1), dtype=bool)
         self._meet = np.full((k + 1, k + 1), k, dtype=np.int64)
-        for i, u in enumerate(self.vertices):
-            for j, v in enumerate(self.vertices):
+        for i, u in enumerate(order.classes):
+            for j, v in enumerate(order.classes):
                 self._leq[i, j] = order.leq(u, v)
-                m = order.meet(u, v)
-                if m is not None:
-                    self._meet[i, j] = self._index[m]
-        self._range = [self._index[r] for r in eng.ranges]
-        self._src = [self._index[s] for s in eng.srcs]
+                self._meet[i, j] = order.index.get(order.meet(u, v), k)
+        self._range = [order.index[r] for r in eng.ranges]
+        self._src = [order.index[s] for s in eng.srcs]
         self.paths: list[Path] = []
         self._path_ids: dict[Path, int] = {}
         self._path_id(())  # id 0
@@ -356,6 +350,13 @@ class ProductTables:
         self.left = self._table(x, u)
         self.right = self._table(u, x)
 
+    @staticmethod
+    def check_size(rows: int, cols: int) -> None:
+        if rows * cols > MAX_TABLE_CELLS:
+            raise TableSizeError(
+                f"a {rows} x {cols} product table exceeds {MAX_TABLE_CELLS} cells"
+            )
+
     def id_of(self, e: Element) -> int:
         """The universe id of an element already in the universe."""
         return self._ids[self._key(e)]
@@ -367,7 +368,7 @@ class ProductTables:
             return None
         return (
             self.paths[key >> 2 * _BITS],
-            self.vertices[key & _MASK],
+            self.order.classes[key & _MASK],
             self.paths[key >> _BITS & _MASK],
         )
 
@@ -385,7 +386,7 @@ class ProductTables:
             return -1
         alpha, A, beta = e
         path_ids = self._path_id(alpha) << _BITS | self._path_id(beta)
-        return path_ids << _BITS | self._index[A]
+        return path_ids << _BITS | self.order.index[A]
 
     def _intern(self, keys: list[int]) -> list[int]:
         """The universe ids of ``keys``; new keys get the next ids in order."""
@@ -427,10 +428,7 @@ class ProductTables:
 
         xa, xv, xb = x
         ya, yv, yb = y
-        if len(xa) * len(ya) > MAX_TABLE_CELLS:
-            raise TableSizeError(
-                f"a {len(xa)} x {len(ya)} product table exceeds {MAX_TABLE_CELLS} cells"
-            )
+        self.check_size(len(xa), len(ya))
         betas, bi = np.unique(xb, return_inverse=True)
         gammas, gi = np.unique(ya, return_inverse=True)
         case, tail = self._relation(betas, gammas)
@@ -496,13 +494,15 @@ def run_axiom_suite(
     them.  Green's D and the natural order are compared with the engine's
     block forms ``LgisEngine.d_classes`` and ``leq_pairs``, each matched in
     the tests against pairwise engine calls, and both resolving predicates
-    run on the raw edges.  A table too large raises ``TableSizeError``.
+    run on the raw edges.  A table too large raises ``TableSizeError``,
+    the first one from ``count_elements``, before any element is built.
     """
     import numpy as np
 
     eng = LgisEngine(G)
+    n = eng.count_elements(maxlen)
+    ProductTables.check_size(n, n)  # before any element is built
     elems = eng.enumerate_elements(maxlen)
-    n = len(elems)
     tab = ProductTables(eng, elems)
     pair, left, right = tab.pair, tab.left, tab.right
 

@@ -30,11 +30,20 @@ def compose(f: PartialMap, g: PartialMap) -> PartialMap:
 
 
 class Oracle:
-    """Generator maps of one matrix at one truncation depth, with caches."""
+    """Generator maps of one matrix at one truncation depth, with caches.
+    It lists every allowed word up to the depth, so a depth that allows
+    more than ``MAX_WORDS`` words is refused before any word is built."""
+
+    MAX_WORDS = 1 << 17
 
     def __init__(self, T: TransitionMatrix, depth: int):
         if depth < 2:
             raise ValueError("oracle depth must be >= 2")
+        words = self.word_count(T, depth)
+        if words > self.MAX_WORDS:
+            raise ValueError(
+                f"depth {depth} allows {words} words, more than {self.MAX_WORDS}"
+            )
         self.T = T
         self.depth = depth
         self.words = allowed_words(T, depth)
@@ -50,6 +59,18 @@ class Oracle:
             self._theta_inv[a] = {v: w for w, v in fwd.items()}
         self._prefix_cache: dict[Word, tuple[PartialMap, PartialMap]] = {}
         self._fclass_cache: dict[int, PartialMap] = {}
+
+    @staticmethod
+    def word_count(T: TransitionMatrix, depth: int) -> int:
+        """``len(allowed_words(T, depth))``, counted length by length per
+        last letter without listing a word."""
+        ends, total = [1] * T.n, 0
+        for _ in range(depth):
+            total += sum(ends)
+            ends = [
+                sum(n for a, n in enumerate(ends) if T.rows[a] >> b & 1) for b in range(T.n)
+            ]
+        return total
 
     def theta(self, a: int) -> PartialMap:
         return self._theta[a]

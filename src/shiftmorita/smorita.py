@@ -11,19 +11,21 @@ CD consists of the class representatives themselves plus the guarded
 covers [b, f, b]; it is closed under products, its guarded covers are
 exactly its primitive idempotents, and a D-class preserving isomorphism of
 two CDs is what the decision procedure's graph search must agree with.
-Its guarded covers grouped by (outer class, D-class) have the sizes of the
-graph's label counts, so the CD search shares the graph search's engine and
-keeps its own finisher, the full product table.  The first class bijection
-the engine yields decides, and one that fails the table is an
+Its ``counted_order`` groups the guarded covers by (outer class, D-class),
+the same groups with the same sizes as the graph's labels, so the CD search
+shares the graph search's engine and its ``CountedOrder.carry``, and keeps
+its own finisher, the full product table.  The first class bijection the
+engine yields decides, and one that fails the table is an
 ``InvariantViolation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
-from .core_order import CoreOrder, _bits, cached_order
+from .core_order import CoreOrder, CountedOrder, _bits, cached_order
 from .decide import order_isomorphisms
 from .hull import (
     HullIdempotent,
@@ -164,18 +166,11 @@ class CDSet:
             )
         return p
 
-    def cover_groups(self) -> dict[tuple[int, int], list[SIdem]]:
-        """Guarded covers by (outer class, D-class), each group sorted."""
-        out: dict[tuple[int, int], list[SIdem]] = {}
-        for x in self.Cll:
-            out.setdefault((x.u, self.dtag(x)), []).append(x)
-        for g in out.values():
-            g.sort(key=SIdem.key)
-        return out
-
-    def dtag(self, x: SIdem) -> int:
-        """The D-class of a CD element, read off its middle."""
-        return dclass_rep(x.g)
+    @cached_property
+    def counted_order(self) -> CountedOrder:
+        """The class order with the guarded covers grouped by (outer class,
+        D-class), each group in ``Cll`` order; built once per CD."""
+        return CountedOrder(self.order, (((x.u, dclass_rep(x.g)), x) for x in self.Cll))
 
     def fmt(self, x: "SIdem | None") -> str:
         if x is None:
@@ -244,17 +239,13 @@ def cd_isomorphic(cd1: CDSet, cd2: CDSet) -> "dict | None":
     extends (``_assemble_and_verify``), and the map is re-verified on the
     full product table before being returned.
     """
-    o1, o2 = cd1.order, cd2.order
-    if len(o1.classes) != len(o2.classes) or len(cd1.Cll) != len(cd2.Cll):
+    if len(cd1.order.classes) != len(cd2.order.classes) or len(cd1.Cll) != len(cd2.Cll):
         return None
-    g1, g2 = cd1.cover_groups(), cd2.cover_groups()
-    sigma = next(order_isomorphisms(
-        o1, {k: len(g) for k, g in g1.items()}, o2, {k: len(g) for k, g in g2.items()}
-    ), None)
-    return None if sigma is None else _assemble_and_verify(cd1, cd2, sigma, g1, g2)
+    sigma = next(order_isomorphisms(cd1.counted_order, cd2.counted_order), None)
+    return None if sigma is None else _assemble_and_verify(cd1, cd2, sigma)
 
 
-def _assemble_and_verify(cd1, cd2, sigma, g1, g2) -> dict:
+def _assemble_and_verify(cd1: CDSet, cd2: CDSet, sigma: dict[int, int]) -> dict:
     """The element map over a count-preserving order isomorphism sigma of
     the classes, checked on D-classes and the full product table.
 
@@ -269,15 +260,11 @@ def _assemble_and_verify(cd1, cd2, sigma, g1, g2) -> dict:
         pi[c1] = make_sidem(
             cd2.matrix, cd2.order, sigma[c1.u], base_idem(cd2.matrix, sigma[c1.u])
         )
-    for (a, d), elems in g1.items():
-        partners = g2.get((sigma[a], sigma[d]), [])
-        if len(partners) != len(elems):
-            raise InvariantViolation("cover groups of an order isomorphism differ")
-        pi.update(zip(elems, partners))
+    pi.update(cd1.counted_order.carry(cd2.counted_order, sigma))
     if len(set(pi.values())) != len(pi):
         raise InvariantViolation("an order isomorphism gave a non-injective CD map")
     for x in cd1.elements:
-        if sigma[cd1.dtag(x)] != cd2.dtag(pi[x]):
+        if sigma[dclass_rep(x.g)] != dclass_rep(pi[x].g):
             raise InvariantViolation("an order isomorphism moved a D-class of CD")
         for y in cd1.elements:
             p = cd1.product(x, y)

@@ -198,9 +198,9 @@ def sweep_cd(T: TransitionMatrix) -> list[str]:
     if not coherent_check(T):
         fails.append("coherent_check failed")
     cd = build_cd(T)
-    group_sizes = {k: len(g) for k, g in cd.cover_groups().items()}
-    if group_sizes != build_graph(T).label_counts():
-        fails.append("guarded-cover groups differ from the graph's label counts")
+    # the group sizes, as the search reads them: per class, (class, size)
+    if cd.counted_order.at != build_graph(T).counted_order.at:
+        fails.append("guarded-cover groups differ from the graph's label groups")
     order = cd.order
     for x in cd.C:
         for y in cd.C:

@@ -63,6 +63,21 @@ class TestFgraph:
     def test_missing_file_exit_2(self, capsys):
         assert main(["fgraph", "/nonexistent.mx"]) == 2
 
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mx"
+        bad.write_bytes(b"\xff\xfe\x00\x01")
+        assert main(["fgraph", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+    def test_unwritable_dot_exit_2(self, matrix_file, tmp_path, capsys):
+        dot = tmp_path / "missing" / "x.dot"
+        assert main(["fgraph", matrix_file, "--dot", str(dot)]) == 2
+        captured = capsys.readouterr()
+        assert "vertex count: 4" in captured.out
+        assert captured.err.startswith(f"error: cannot write {dot}: ")
+        assert captured.err.count("\n") == 1
+
     @settings(max_examples=40, deadline=None)
     @given(decorated_texts(max_letters=3))
     def test_decorated_file_gives_the_clean_report_or_exit_2(self, case):
@@ -141,6 +156,26 @@ class TestLgisCheck:
         assert "verdict" not in captured.out
         assert "a 8211 x 8211 product table exceeds 16777216 cells" in captured.err
 
+    @pytest.mark.parametrize("maxlen, n", [(5, 25051596), (6, 400798156)])
+    def test_large_table_refused_before_any_path_is_listed(
+        self, tmp_path, capsys, monkeypatch, maxlen, n
+    ):
+        """J-I over 5 letters (every letter may follow every other one):
+        the element count alone refuses it."""
+        from shiftmorita.lgis import LgisEngine
+
+        def refuse(self, maxlen):
+            raise AssertionError("listed")
+
+        monkeypatch.setattr(LgisEngine, "enumerate_elements", refuse)
+        monkeypatch.setattr(LgisEngine, "paths", refuse)
+        rows = "\n".join("".join("0" if i == j else "1" for j in range(5)) for i in range(5))
+        f = write(tmp_path, "ji5.mx", "a b c d e\n" + rows + "\n")
+        assert main(["lgis-check", f, "--maxlen", str(maxlen)]) == 2
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert f"a {n} x {n} product table exceeds 16777216 cells" in captured.err
+
 
 class TestOracleCheck:
     def test_pass(self, matrix_file, capsys):
@@ -150,6 +185,18 @@ class TestOracleCheck:
 
     def test_depth_too_small_exit_2(self, matrix_file, capsys):
         assert main(["oracle-check", matrix_file, "--depth", "3"]) == 2
+
+    def test_depth_over_the_word_bound_exit_2(self, matrix_file, capsys, monkeypatch):
+        from shiftmorita import oracle
+
+        def refuse(T, depth):
+            raise AssertionError("words listed")
+
+        monkeypatch.setattr(oracle, "allowed_words", refuse)
+        assert main(["oracle-check", matrix_file, "--depth", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: depth 40 allows 1004422742303475 words")
 
     def test_corrupt_negative_control_exit_1(self, matrix_file, capsys):
         assert main(["oracle-check", matrix_file, "--corrupt"]) == 1

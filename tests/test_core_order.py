@@ -7,7 +7,7 @@ from shiftmorita.core_order import (
     check_meet_identity,
     core_of_at,
 )
-from shiftmorita.hull import covers_below, fclass_witness, idem_leq
+from shiftmorita.hull import covers_below, idem_leq
 from shiftmorita.labelled_graph import build_graph, cached_graph
 from shiftmorita.shift import (
     CACHE_MAXSIZE,
@@ -300,9 +300,8 @@ class TestBoundedCaches:
             T = TransitionMatrix((f"s{i}",), (1,))
             f_classes(T)
             cached_order(T)
-            fclass_witness(T, 1)
             cached_graph(T)
-        for cache in (f_classes, cached_order, fclass_witness, cached_graph):
+        for cache in (f_classes, cached_order, cached_graph):
             info = cache.cache_info()
             assert info.maxsize == CACHE_MAXSIZE
             assert info.currsize <= info.maxsize

@@ -1,13 +1,14 @@
 import dataclasses
 import random
 import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from shiftmorita import decide
 from shiftmorita.cli import main
-from shiftmorita.core_order import CoreOrder, build_order
+from shiftmorita.core_order import CoreOrder, CountedOrder, build_order
 from shiftmorita.decide import (
     _certificate,
     _extend_witness,
@@ -224,6 +225,11 @@ class TestBruteForce:
         assert not brute_force_isomorphic(g1, diamond_graph)
 
 
+def label_counts(G) -> Counter:
+    """#labels per (range vertex, cover class), counted from the labels."""
+    return Counter((lab.vertex, lab.src_class) for lab in G.labels)
+
+
 def brute_force_order_isomorphisms(o1, counts1, o2, counts2) -> set:
     """Every bijection of the classes that preserves the order both ways and
     the count of every pair of classes, as sorted item tuples."""
@@ -267,8 +273,11 @@ class TestOrderIsomorphisms:
             G = build_graph(T)
             for perm in permutations(range(T.n)):
                 H = build_graph(permuted_copy(T, list(perm)))
-                args = (G.order, G.label_counts(), H.order, H.label_counts())
-                got = [tuple(sorted(s.items())) for s in order_isomorphisms(*args)]
+                args = (G.order, label_counts(G), H.order, label_counts(H))
+                got = [
+                    tuple(sorted(s.items()))
+                    for s in order_isomorphisms(G.counted_order, H.counted_order)
+                ]
                 assert len(got) == len(set(got)), (T.rows, perm)
                 assert set(got) == brute_force_order_isomorphisms(*args), (T.rows, perm)
                 yielded += len(got)
@@ -283,10 +292,11 @@ class TestOrderIsomorphisms:
         pairs = {(v, v) for v in tops_first} | {(a1, b1), (a2, b2)}
         order = hand_built_order(tops_first, pairs)
         with pytest.raises(ValueError, match="listed before a class below it"):
-            order_isomorphisms(order, {}, order, {})
+            CountedOrder(order, ())
         order = hand_built_order((a1, a2, b1, b2), pairs)
         args = (order, {}, order, {})
-        got = [tuple(sorted(s.items())) for s in order_isomorphisms(*args)]
+        counted = CountedOrder(order, ())
+        got = [tuple(sorted(s.items())) for s in order_isomorphisms(counted, counted)]
         assert sorted(got) == sorted(brute_force_order_isomorphisms(*args))
         assert len(got) == 2
 
@@ -319,12 +329,11 @@ class TestEverySigmaExtends:
         maps = 0
         for T1, T2 in pairs:
             G1, G2, cd1, cd2 = graphs[T1], graphs[T2], cds[T1], cds[T2]
-            g1, g2 = cd1.cover_groups(), cd2.cover_groups()
-            counts1, counts2 = G1.label_counts(), G2.label_counts()
-            assert {k: len(g) for k, g in g1.items()} == counts1
-            for sigma in order_isomorphisms(G1.order, counts1, G2.order, counts2):
+            g1 = cd1.counted_order.groups
+            assert {k: len(g) for k, g in g1.items()} == label_counts(G1)
+            for sigma in order_isomorphisms(G1.counted_order, G2.counted_order):
                 assert verify_witness(G1, G2, _extend_witness(G1, G2, sigma))
-                _assemble_and_verify(cd1, cd2, sigma, g1, g2)
+                _assemble_and_verify(cd1, cd2, sigma)
                 maps += 1
         assert maps == 4123
 
@@ -342,6 +351,37 @@ class TestFinisherFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "failed to extend" in captured.err
+
+    def test_carry_refuses_groups_of_different_sizes(self):
+        """The one group zip of both finishers: on the chain 1 < 3, groups
+        of different sizes at a pair and its image, or a group whose image
+        pair has none, raise."""
+        order = hand_built_order((1, 3), {(1, 1), (3, 3), (1, 3)})
+        one = CountedOrder(order, [((3, 1), "x")])
+        two = CountedOrder(order, [((3, 1), "y"), ((3, 1), "z")])
+        top = CountedOrder(order, [((3, 3), "w")])
+        identity = {1: 1, 3: 3}
+        assert one.carry(one, identity) == {"x": "x"}
+        for s1, s2 in ((one, two), (two, one), (top, one)):
+            with pytest.raises(InvariantViolation, match="differ in size"):
+                s1.carry(s2, identity)
+
+    def test_cross_check_disagreement_raises_and_decide_exits_3(
+        self, monkeypatch, tmp_path, capsys, diamond
+    ):
+        from shiftmorita import smorita
+
+        monkeypatch.setattr(smorita, "cd_isomorphic", lambda cd1, cd2: None)
+        other = permuted_copy(diamond, [2, 0, 1])
+        assert decide_morita(diamond, other).equivalent
+        with pytest.raises(InvariantViolation, match="verdicts disagree"):
+            decide_morita(diamond, other, cross_check=True)
+        f = tmp_path / "diamond.mx"
+        f.write_text(DIAMOND_TEXT + "\n")
+        assert main(["decide", str(f), str(f), "--cross-check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verdicts disagree" in captured.err
 
     def test_broken_cd_product_raises(self, diamond):
         cd1 = build_cd(diamond)

@@ -515,6 +515,17 @@ def element_count(T) -> int:
 
 
 class TestTableSizeGuard:
+    def test_count_matches_enumeration(self, diamond_graph):
+        """On every graph with at most 3 letters up to path length 2, and on
+        the diamond up to 4 (8 211 elements, which ``lgis-check`` refuses)."""
+        for G in map(build_graph, sweeps.all_matrices(3)):
+            eng = LgisEngine(G)
+            for maxlen in (0, 1, 2):
+                assert eng.count_elements(maxlen) == len(eng.enumerate_elements(maxlen))
+        eng = LgisEngine(diamond_graph)
+        for maxlen in (3, 4):
+            assert eng.count_elements(maxlen) == len(eng.enumerate_elements(maxlen))
+
     def test_raises_before_filling_a_table_over_the_limit(self, monkeypatch):
         eng = LgisEngine(build_graph(mx("a b\n11\n11")))
         elems = eng.enumerate_elements(1)

@@ -2,6 +2,8 @@ import pytest
 
 from shiftmorita.hull import enumerate_idems, make_idem
 from shiftmorita.oracle import Oracle, compose
+from shiftmorita.shift import allowed_words
+from shiftmorita.sweeps import all_matrices
 
 from conftest import mx
 
@@ -29,6 +31,22 @@ class TestBuild:
     def test_depth_below_two_rejected(self, diamond):
         with pytest.raises(ValueError, match="depth"):
             Oracle(diamond, 1)
+
+    def test_word_count_matches_the_listed_words(self):
+        for T in all_matrices(3):
+            for depth in range(2, 8):
+                assert Oracle.word_count(T, depth) == len(allowed_words(T, depth))
+
+    def test_too_many_words_rejected_before_listing_any(self, diamond, monkeypatch):
+        from shiftmorita import oracle
+
+        def refuse(T, depth):
+            raise AssertionError("words listed")
+
+        monkeypatch.setattr(oracle, "allowed_words", refuse)
+        assert Oracle.word_count(diamond, 13) <= Oracle.MAX_WORDS
+        with pytest.raises(ValueError, match="depth 14 allows 299424 words"):
+            Oracle(diamond, 14)
 
 
 class TestEval:

@@ -122,8 +122,10 @@ class TestCD:
 
     def test_d_tags_match_middle_classes(self, diamond):
         cd = build_cd(diamond)
+        tags = {x: d for (_, d), group in cd.counted_order.groups.items() for x in group}
+        assert set(tags) == set(cd.Cll)
         for x in cd.elements:
-            assert cd.dtag(x) == dclass_rep(x.g)
+            assert tags.get(x, x.u) == dclass_rep(x.g)
 
     def test_cll_product_with_representative(self, diamond):
         cd = build_cd(diamond)
@@ -171,7 +173,7 @@ class TestCDIso:
         # the witness is a bijection preserving D-tags through sigma
         sigma = w["classes"]
         for x, y in w["elements"].items():
-            assert sigma[cd1.dtag(x)] == cd2.dtag(y)
+            assert sigma[dclass_rep(x.g)] == dclass_rep(y.g)
 
 
 def reference_make_sidem(T, order, u, g):
