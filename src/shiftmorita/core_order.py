@@ -16,11 +16,6 @@ are derived on first use.  Antisymmetry is checked as triangularity (see
 O(k·n) big-int operations for k classes and n letters, from one bitset per
 letter.  At depth 0, rule (4) adds nothing once rules (2) and (3) are
 closed, so the kernel runs only those two (``_core`` has the proof).
-``core_of_at`` (the core of any canonical idempotent, by all three rules)
-and ``hull.covers_below_at`` work on ``HullIdempotent`` sets; they are the
-references the tests and sweeps check the kernel against, and they validate
-the depth-0 restriction of the class order against conjugated corners
-instead of assuming it.
 
 ``CountedOrder`` is the one owner of the items grouped on pairs of classes
 that decide Morita equivalence: a graph's labels by (range vertex, cover
@@ -34,93 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
 from typing import Any, Iterable
 
-from .hull import (
-    HullIdempotent,
-    covers_below_at,
-    idem_leq,
-    idem_product,
-    make_idem,
-)
-from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, Word, f_classes
-
-
-def core_of_at(
-    T: TransitionMatrix,
-    word: Word,
-    vec: int,
-    rule_order: tuple[int, int, int] = (2, 3, 4),
-) -> frozenset[HullIdempotent]:
-    """Least closed subset of (word, vec)'s down-set containing it.
-
-    Rule (3) quantifies over all covers of current members; a trigger that
-    would admit an idempotent with a longer word than the seed contradicts
-    the containment of cores in the F-class layer and is a hard error.
-    """
-    seed = make_idem(T, word, vec)
-    if seed is None:
-        raise ValueError("cannot take the core of zero")
-    members: set[HullIdempotent] = {seed}
-
-    def rule_products() -> set[HullIdempotent]:
-        new = set()
-        for f, g in combinations_with_replacement(sorted(members, key=HullIdempotent.key), 2):
-            p = idem_product(T, f, g)
-            if p is not None and p not in members:
-                new.add(p)
-        return new
-
-    def rule_covers() -> set[HullIdempotent]:
-        new = set()
-        cover_sets = [covers_below_at(T, h.word, h.vec) for h in members]
-        for cs1 in cover_sets:
-            for cs2 in cover_sets:
-                for f in cs1:
-                    for g in cs2:
-                        if f == g or (f in members and g in members):
-                            continue
-                        if idem_leq(T, f, g) or idem_leq(T, g, f):
-                            continue
-                        if idem_product(T, f, g) is None:
-                            continue
-                        for x in (f, g):
-                            if x not in members:
-                                if len(x.word) != len(seed.word):
-                                    raise InvariantViolation(
-                                        "core rule (3) produced an idempotent "
-                                        "outside the seed layer"
-                                    )
-                                new.add(x)
-        return new
-
-    def rule_intervals() -> set[HullIdempotent]:
-        # only same-word idempotents can sit strictly inside a same-word
-        # interval: anything deeper misses the short words of the lower end
-        new = set()
-        for e1 in members:
-            for e2 in members:
-                if e1 == e2 or not idem_leq(T, e1, e2):
-                    continue
-                for u in f_classes(T):
-                    g = make_idem(T, e1.word, u)
-                    if g is None or g in members:
-                        continue
-                    if g != e1 and g != e2 and idem_leq(T, e1, g) and idem_leq(T, g, e2):
-                        new.add(g)
-        return new
-
-    rules = {2: rule_products, 3: rule_covers, 4: rule_intervals}
-    changed = True
-    while changed:
-        changed = False
-        for r in rule_order:
-            new = rules[r]()
-            if new:
-                members |= new
-                changed = True
-    return frozenset(members)
+from .hull import HullIdempotent
+from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, f_classes
 
 
 @dataclass(frozen=True)
@@ -131,7 +43,8 @@ class CoreOrder:
     its maximal proper subclasses, ``letter_classes[b]`` is the bitset of
     the classes that contain letter b, and ``core_bits[i]`` that of class
     i's core.  ``pairs`` ((lo, hi) with lo below-or-equal hi) and ``cores``
-    (class to core) are derived on first use; a decision reads neither."""
+    (class to core) are derived on first use; neither a decision nor the
+    LGIS reads them."""
 
     matrix: TransitionMatrix
     classes: tuple[int, ...]
@@ -152,7 +65,9 @@ class CoreOrder:
         return {v: frozenset(c[g] for g in _bits(m)) for v, m in zip(c, self.core_bits)}
 
     def leq(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
+        """a below-or-equal b; False when either is not a class."""
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and self.down[j] >> i & 1 == 1
 
     def meet(self, a: int, b: int) -> "int | None":
         """The greatest lower bound, None for zero; ``build_order`` checks
@@ -174,7 +89,7 @@ class CoreOrder:
         return tuple((self.classes[a], self.classes[b]) for a, b in sorted(covers))
 
     def covers(self, v: int) -> tuple[HullIdempotent, ...]:
-        """``covers_below(T, v)`` read off the bitsets: ((), u) for each
+        """``reference.covers_below(T, v)`` read off the bitsets: ((), u) for each
         maximal proper subclass u of v, then ((b,), row b) for each letter b
         of v in no proper subclass."""
         return self.label_covers(v, guarded=False)
@@ -269,9 +184,10 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
     bitsets over them.  With ``has[b]`` the classes that contain letter b,
     class i's supersets are the AND of ``has[b]`` over its letters, its
     subsets the AND of ``~has[b]`` over the other letters, and the classes
-    it meets the OR over its letters.  It returns what the ``core_of_at``
-    reference gives with the pair closure and the meet scan over its cores,
-    and covers equal to ``covers_below``; the tests check that they agree.
+    it meets the OR over its letters.  It returns what the
+    ``reference.core_of_at`` cores give with the pair closure and the meet
+    scan over them, and covers equal to ``reference.covers_below``; the
+    tests check that they agree.
 
     Antisymmetry is checked as triangularity, ``down[b] >> b + 1 == 0``: if
     a <= b <= a, a is listed at or before b and b at or before a.  This is
@@ -431,28 +347,3 @@ def _core(
 def cached_order(T: TransitionMatrix) -> CoreOrder:
     return build_order(T)
 
-
-def check_meet_identity(T: TransitionMatrix, order: CoreOrder) -> bool:
-    """``order.meet`` is the greatest common lower bound found by a scan over
-    ``order.pairs`` (None when there is none), and e_a e_b = e_{a^b}: the
-    meet is the AND class whenever it is nonzero, and a zero meet of two
-    classes with a common upper bound forces a zero product."""
-    below: dict[int, set[int]] = {v: set() for v in order.classes}
-    for lo, hi in order.pairs:
-        below[hi].add(lo)
-    for a in order.classes:
-        for b in order.classes:
-            m = order.meet(a, b)
-            lower = below[a] & below[b]
-            if lower:
-                glb = [c for c in lower if lower <= below[c]]
-                if glb != [m] or a & b != m:
-                    return False
-            elif m is not None:
-                return False
-            elif any(
-                order.leq(a, c) and order.leq(b, c) for c in order.classes
-            ):
-                if a & b != 0:
-                    return False
-    return True

@@ -25,9 +25,7 @@ agree.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterator
 
 from .core_order import CountedOrder, _bits
@@ -184,33 +182,6 @@ def graphs_isomorphic_ordered(
         return None
     pi0 = next(order_isomorphisms(G1.counted_order, G2.counted_order), None)
     return None if pi0 is None else _extend_witness(G1, G2, pi0)
-
-
-def brute_force_isomorphic(G1: LabelledGraph, G2: LabelledGraph) -> bool:
-    """Try every vertex bijection; for each, check the order relation and
-    the per-(vertex, class) label counts, then confirm the first survivor
-    by building and verifying the full witness.  The desk-scale oracle the
-    pruned search is measured against."""
-    n = len(G1.vertices)
-    if n != len(G2.vertices):
-        return False
-    if len(G1.labels) != len(G2.labels) or len(G1.edges) != len(G2.edges):
-        return False
-    o1, o2 = G1.order, G2.order
-    counts2 = Counter((lab.vertex, lab.src_class) for lab in G2.labels)
-    v1, v2 = G1.vertices, G2.vertices
-    for perm in permutations(range(n)):
-        pi0 = {v1[i]: v2[perm[i]] for i in range(n)}
-        if any(
-            o1.leq(a, b) != o2.leq(pi0[a], pi0[b]) for a in v1 for b in v1
-        ):
-            continue
-        if Counter((pi0[lab.vertex], pi0[lab.src_class]) for lab in G1.labels) != counts2:
-            continue
-        # matching per-key counts force a full witness
-        _extend_witness(G1, G2, pi0)
-        return True
-    return False
 
 
 def _certificate(G1: LabelledGraph, G2: LabelledGraph) -> str:

@@ -102,44 +102,6 @@ def dclass_rep(e: HullIdempotent) -> int:
     return e.vec
 
 
-def covers_below_at(
-    T: TransitionMatrix, word: Word, vec: int
-) -> tuple[HullIdempotent, ...]:
-    """All idempotents immediately below (word, vec).
-
-    Candidates are the same-word idempotents with strictly smaller vectors
-    and the one-letter extensions (word+b, row(b)) for b in vec; anything
-    with a longer extension sits strictly below one of those, so maximality
-    within the candidate set is the covering relation.
-    """
-    if vec not in f_classes(T):
-        raise ValueError(f"vector {vec:b} is not a follower class")
-    if word and (T.rows[word[-1]] & vec) != vec:
-        raise ValueError("vector not contained in followers of final letter")
-    cands: list[HullIdempotent] = [
-        HullIdempotent(tuple(word), u)
-        for u in f_classes(T)
-        if u & vec == u and u != vec
-    ]
-    cands += [
-        HullIdempotent(tuple(word) + (b,), T.rows[b])
-        for b in range(T.n)
-        if vec >> b & 1
-    ]
-    maximal = [
-        c
-        for c in cands
-        if not any(d != c and idem_leq(T, c, d) for d in cands)
-    ]
-    return tuple(sorted(maximal, key=HullIdempotent.key))
-
-
-def covers_below(T: TransitionMatrix, vec: int) -> tuple[HullIdempotent, ...]:
-    """Covers of the depth-0 idempotent of a follower class: the reference
-    that ``CoreOrder.covers`` is checked against."""
-    return covers_below_at(T, (), vec)
-
-
 def enumerate_idems(
     T: TransitionMatrix, maxword: int
 ) -> tuple[HullIdempotent, ...]:

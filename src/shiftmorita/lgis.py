@@ -17,115 +17,20 @@ depends on the two inner paths only through their prefix case and tail,
 computed once per path pair, and the middle vertex comes from numpy
 gathers over the vertex leq and meet tables, on the cells of comparable
 path pairs only.
-
-A representative-based relative source over raw edge lists is kept as the
-oracle; ``check_resolving`` also works on raw edges, as bitmasks, so that
-hand-built counterexample graphs can be analysed too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import chain
-from typing import Hashable, Sequence
+from typing import Sequence
 
+from . import reference
 from .core_order import _bits
 from .labelled_graph import LabelledGraph
 from .shift import InvariantViolation
 
 Path = tuple[int, ...]  # label indices in the owning engine
 Element = "tuple[Path, int, Path] | None"  # (alpha, A-vertex, beta); None is zero
-
-
-@dataclass(frozen=True)
-class RawGraph:
-    """Minimal labelled-graph data for the representative-based oracle:
-    edges are (range, label, source) over arbitrary hashable pieces."""
-
-    vertices: tuple[Hashable, ...]
-    edges: tuple[tuple[Hashable, Hashable, Hashable], ...]
-    bfamily: tuple[frozenset, ...]
-
-    def labels(self) -> tuple[Hashable, ...]:
-        return tuple(sorted({lab for _, lab, _ in self.edges}, key=repr))
-
-
-def raw_of(G: LabelledGraph) -> RawGraph:
-    edges = tuple((e.range, e.label, e.source) for e in G.edges)
-    bfam = (frozenset(), *(frozenset(G.b_set(v)) for v in G.vertices))
-    return RawGraph(tuple(G.vertices), edges, bfam)
-
-
-def relative_source_raw(
-    raw: RawGraph, A: frozenset, alpha: Sequence[Hashable]
-) -> frozenset:
-    """s(A, alpha) = sources of representatives of alpha with range in A,
-    computed by walking the edge list letter by letter."""
-    frontier = frozenset(A)
-    for lab in alpha:
-        frontier = frozenset(s for r, l, s in raw.edges if l == lab and r in frontier)
-    return frontier
-
-
-def labelled_paths_raw(raw: RawGraph, maxlen: int) -> list[tuple]:
-    """All label sequences of length 1..maxlen having a representative."""
-    out: list[tuple] = []
-    all_v = frozenset(raw.vertices)
-    level: list[tuple] = [()]
-    for _ in range(maxlen):
-        level = [
-            p + (lab,) for p in level for lab in raw.labels()
-            if relative_source_raw(raw, all_v, p + (lab,))
-        ]
-        out.extend(level)
-    return out
-
-
-def check_resolving(raw: RawGraph, pathlen: int = 3) -> tuple[bool, bool]:
-    """(weakly, strongly) right resolving.
-
-    Strong is the edge-wise label/range check; weak compares relative
-    sources of intersections against intersections of relative sources for
-    all pairs from the B family and all labelled paths up to ``pathlen``.
-    Vertex sets are int bitmasks, and the sources along a path extend those
-    along its prefix by one letter, as in ``relative_source_raw``.
-    """
-    ranges: dict[Hashable, Hashable] = {}
-    strong = all(ranges.setdefault(lab, r) == r for r, lab, _ in raw.edges)
-    bit: dict[Hashable, int] = {}
-    for v in chain(raw.vertices, *raw.bfamily, *(e[::2] for e in raw.edges)):
-        bit.setdefault(v, 1 << len(bit))
-    moves = [
-        [(bit[r], bit[s]) for r, l, s in raw.edges if l == lab] for lab in raw.labels()
-    ]
-    fam = [sum(bit[v] for v in B) for B in raw.bfamily]
-    # every set compared; the first, all vertices, picks out the labelled paths
-    every = sum(bit[v] for v in set(raw.vertices))
-    sets = dict.fromkeys([every, *fam, *(a & b for a in fam for b in fam)])
-    pos = {m: i for i, m in enumerate(sets)}
-    rows: list[tuple[int, ...]] = []  # per labelled path, s(X, path) for X in pos
-    level = [tuple(pos)]
-    for _ in range(pathlen):
-        level = [
-            row for prev in level for edges in moves
-            if (row := tuple(_move(edges, m) for m in prev))[0]
-        ]
-        rows.extend(level)
-    checks = dict.fromkeys((pos[a & b], pos[a], pos[b]) for a in fam for b in fam)
-    for ab, a, b in checks:
-        if any(row[ab] != row[a] & row[b] for row in rows):
-            return (False, strong)
-    return (True, strong)
-
-
-def _move(edges: list[tuple[int, int]], m: int) -> int:
-    """The sources of the (range bit, source bit) edges whose range is in m."""
-    out = 0
-    for r, s in edges:
-        if r & m:
-            out |= s
-    return out
 
 
 class LgisEngine:
@@ -155,10 +60,10 @@ class LgisEngine:
         return out
 
     def relative_source(self, A: "int | None", p: Path) -> "int | None":
-        """s(B_A, p) as a vertex (None is the empty set)."""
+        """s(B_A, p) as a vertex (None is the empty set, below nothing)."""
         if not p:
             return A
-        if A is not None and self.order.leq(self.ranges[p[0]], A):
+        if self.order.leq(self.ranges[p[0]], A):
             return self.srcs[p[-1]]
         return None
 
@@ -179,20 +84,16 @@ class LgisEngine:
         gamma, B, delta = y
         order = self.order
         if gamma[: len(beta)] == beta:
-            # s(A, tail) meets B; s(A, tail) is A, the last source or empty
+            # s(A, tail) meets B
             tail = gamma[len(beta):]
-            if tail:
-                if not order.leq(self.ranges[tail[0]], A):
-                    return None
-                A = self.srcs[tail[-1]]
-            mid = order.meet(A, B)
+            src = self.relative_source(A, tail)
+            mid = None if src is None else order.meet(src, B)
             return None if mid is None else (alpha + tail, mid, delta)
         if beta[: len(gamma)] == gamma:
             # A meets s(B, tail), with tail nonempty
             tail = beta[len(gamma):]
-            if not order.leq(self.ranges[tail[0]], B):
-                return None
-            mid = order.meet(A, self.srcs[tail[-1]])
+            src = self.relative_source(B, tail)
+            mid = None if src is None else order.meet(A, src)
             return None if mid is None else (alpha, mid, delta + tail)
         return None
 
@@ -213,8 +114,7 @@ class LgisEngine:
         mu = alpha[len(gamma):]
         if alpha[: len(gamma)] != gamma or beta != delta + mu:
             return False
-        src = self.relative_source(B, mu)
-        return src is not None and self.order.leq(A, src)
+        return self.order.leq(A, self.relative_source(B, mu))
 
     def green(self, x: Element, y: Element, relation: str) -> bool:
         """Green's R (equal left paths and middles) or L (right paths)."""
@@ -353,9 +253,11 @@ class ProductTables:
     @staticmethod
     def check_size(rows: int, cols: int) -> None:
         if rows * cols > MAX_TABLE_CELLS:
-            raise TableSizeError(
-                f"a {rows} x {cols} product table exceeds {MAX_TABLE_CELLS} cells"
-            )
+            try:
+                msg = f"a {rows} x {cols} product table exceeds {MAX_TABLE_CELLS} cells"
+            except ValueError:  # a count with too many digits to print
+                msg = f"a product table has more than {MAX_TABLE_CELLS} cells"
+            raise TableSizeError(msg)
 
     def id_of(self, e: Element) -> int:
         """The universe id of an element already in the universe."""
@@ -559,8 +461,8 @@ def run_axiom_suite(
     below = np.argwhere((left[:, x_x] == ar).T).tolist()  # [i, j]: x_j x_i* x_i = x_i
     results["leq_agreement"] = set(map(tuple, below)) == set(eng.leq_pairs(elems))
 
-    results["weakly_resolving"], results["strongly_resolving"] = check_resolving(
-        raw_of(G), 3
+    results["weakly_resolving"], results["strongly_resolving"] = (
+        reference.check_resolving(reference.raw_of(G), 3)
     )
 
     if samples3:

@@ -41,9 +41,11 @@ class Oracle:
             raise ValueError("oracle depth must be >= 2")
         words = self.word_count(T, depth)
         if words > self.MAX_WORDS:
-            raise ValueError(
-                f"depth {depth} allows {words} words, more than {self.MAX_WORDS}"
-            )
+            try:
+                msg = f"depth {depth} allows {words} words, more than {self.MAX_WORDS}"
+            except ValueError:  # a count with too many digits to print
+                msg = f"depth {depth} allows more than {self.MAX_WORDS} words"
+            raise ValueError(msg)
         self.T = T
         self.depth = depth
         self.words = allowed_words(T, depth)

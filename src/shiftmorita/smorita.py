@@ -4,7 +4,8 @@ combinatorial data CD.
 A diagonal triple [u, g, u] pairs a nonzero D-class u with a hull
 idempotent g below u's representative; two triples are the same element
 exactly when the middles agree and the outer classes have nonzero meet, so
-each element is stored with the least class that represents it.  Products
+each element is stored with the least class that represents it, and two
+stored triples are the same element exactly when they are equal.  Products
 insert the representative of the meet between the middles.
 
 CD consists of the class representatives themselves plus the guarded
@@ -30,13 +31,13 @@ from .decide import order_isomorphisms
 from .hull import (
     HullIdempotent,
     base_idem,
-    covers_below,
     dclass_rep,
     enumerate_idems,
     fmt_idem,
     idem_leq,
     idem_product,
 )
+from .reference import covers_below
 from .shift import InvariantViolation, TransitionMatrix
 
 
@@ -67,8 +68,9 @@ def make_sidem(
     Let u meet j1 and j1 meet j2.  Then u^j1 and j1^j2 both lie below j1,
     and both contain g's letter (or g's vector), so their AND is nonzero.
     By the representative-product identity, two classes under a common
-    upper bound with a zero meet have a zero product (``check_meet_identity``
-    verifies it, and criterion 3 runs that check).  So u^j1 and j1^j2 have
+    upper bound with a zero meet have a zero product
+    (``reference.check_meet_identity`` verifies it, and criterion 3 runs
+    that check).  So u^j1 and j1^j2 have
     a common lower bound, which lies below u and j2: u meets j2.
 
     So the fold from u (in the group) is the AND of the group's masks: each
@@ -95,13 +97,6 @@ def make_sidem(
     if m is None or not group >> m & 1:
         raise InvariantViolation("least equivalent class does not carry the middle")
     return SIdem(least, g)
-
-
-def sidem_equal(x: "SIdem | None", y: "SIdem | None", order: CoreOrder) -> bool:
-    """s = t with both outer meets nonzero, or both zero."""
-    if x is None or y is None:
-        return x is None and y is None
-    return x.g == y.g and order.meet(x.u, y.u) is not None
 
 
 def sidem_leq(
@@ -191,16 +186,11 @@ def coherent_check(T: TransitionMatrix) -> bool:
     cd = CDSet(T)
     cset = set(cd.C)
 
-    def in_c(x: "SIdem | None") -> bool:
-        return x is not None and any(
-            sidem_equal(x, c, order) for c in cset
-        )
-
     # (1) products of representatives stay representatives
     for x in cd.C:
         for y in cd.C:
             p = sidem_product(T, order, x, y)
-            if p is not None and not in_c(p):
+            if p is not None and p not in cset:
                 return False
 
     # (2) interval closure over every diagonal triple with short middles
@@ -211,7 +201,7 @@ def coherent_check(T: TransitionMatrix) -> bool:
         if idem_leq(T, g, base_idem(T, u))
     }
     for f in all_sidems:
-        if in_c(f):
+        if f in cset:
             continue
         for lo in cd.C:
             for hi in cd.C:
@@ -225,7 +215,7 @@ def coherent_check(T: TransitionMatrix) -> bool:
             if sidem_leq(T, order, f, g) or sidem_leq(T, order, g, f):
                 continue
             p = sidem_product(T, order, f, g)
-            if p is not None and not in_c(p):
+            if p is not None and p not in cset:
                 return False
     return True
 

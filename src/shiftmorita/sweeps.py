@@ -12,16 +12,10 @@ from __future__ import annotations
 import random
 from itertools import combinations, product as iproduct
 
-from .core_order import cached_order, check_meet_identity, core_of_at
-from .decide import (
-    brute_force_isomorphic,
-    decide_morita,
-    graphs_isomorphic_ordered,
-    verify_witness,
-)
+from .core_order import cached_order
+from .decide import decide_morita, graphs_isomorphic_ordered, verify_witness
 from .hull import (
     base_idem,
-    covers_below,
     enumerate_idems,
     fmt_idem,
     idem_leq,
@@ -31,6 +25,12 @@ from .hull import (
 from .labelled_graph import build_graph
 from .lgis import run_axiom_suite
 from .oracle import Oracle, compose
+from .reference import (
+    brute_force_isomorphic,
+    check_meet_identity,
+    core_of_at,
+    covers_below,
+)
 from .shift import TransitionMatrix, f_classes, natural_leq
 from .smorita import CDSet, build_cd, cd_isomorphic, coherent_check, sidem_leq
 

@@ -176,6 +176,15 @@ class TestLgisCheck:
         assert "verdict" not in captured.out
         assert f"a {n} x {n} product table exceeds 16777216 cells" in captured.err
 
+    def test_count_too_long_to_print_names_the_bound(self, matrix_file, capsys):
+        # at path length <= 20 000 the diamond's element count has more
+        # digits than Python converts to a string
+        assert main(["lgis-check", matrix_file, "--maxlen", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 16777216 cells" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestOracleCheck:
     def test_pass(self, matrix_file, capsys):
@@ -197,6 +206,15 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: depth 40 allows 1004422742303475 words")
+
+    def test_word_count_too_long_to_print_names_the_bound(self, matrix_file, capsys):
+        # at depth 20 000 the diamond's word count has more digits than
+        # Python converts to a string
+        assert main(["oracle-check", matrix_file, "--depth", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: depth 20000 allows more than 131072 words")
+        assert "Traceback" not in captured.err
 
     def test_corrupt_negative_control_exit_1(self, matrix_file, capsys):
         assert main(["oracle-check", matrix_file, "--corrupt"]) == 1

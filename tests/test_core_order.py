@@ -1,14 +1,10 @@
 import pytest
 from hypothesis import given, settings
 
-from shiftmorita.core_order import (
-    build_order,
-    cached_order,
-    check_meet_identity,
-    core_of_at,
-)
-from shiftmorita.hull import covers_below, idem_leq
+from shiftmorita.core_order import build_order, cached_order
+from shiftmorita.hull import idem_leq
 from shiftmorita.labelled_graph import build_graph, cached_graph
+from shiftmorita.reference import check_meet_identity, core_of_at, covers_below
 from shiftmorita.shift import (
     CACHE_MAXSIZE,
     InvariantViolation,
@@ -237,6 +233,51 @@ class TestKernelMatchesReference:
                 tuple("abcde"[:n]), tuple(full & ~(1 << i) for i in range(n))
             )
         )
+
+
+class TestBitsetLeq:
+    """``CoreOrder.leq`` reads the down-set bitsets: it agrees with the
+    derived pair set on every pair of classes, and is False when either
+    side is not a class (a mask above every class, or None)."""
+
+    @staticmethod
+    def check(order):
+        pairs = order.pairs
+        for a in order.classes:
+            for b in order.classes:
+                assert order.leq(a, b) == ((a, b) in pairs), (a, b)
+        stranger = max(order.classes) + 1
+        for v in (*order.classes, stranger, None):
+            for w in (stranger, None):
+                assert not order.leq(v, w) and not order.leq(w, v)
+
+    def test_every_order_up_to_three_letters(self):
+        for T in all_matrices(3):
+            self.check(build_order(T))
+
+    def test_seeded_four_to_seven_letters(self):
+        for T in seeded_matrices():
+            self.check(build_order(T))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_j_minus_i(self, n):
+        full = (1 << n) - 1
+        T = TransitionMatrix(
+            tuple("abcdefgh"[:n]), tuple(full & ~(1 << i) for i in range(n))
+        )
+        self.check(build_order(T))
+
+    def test_hand_built_orders(self):
+        from test_decide import hand_built_order
+
+        b1, b2, a1, a2 = 10, 20, 1, 2
+        pairs = {(v, v) for v in (a1, a2, b1, b2)} | {(a1, b1), (a2, b2)}
+        for classes, rel in (
+            ((b1, b2, a1, a2), pairs),
+            ((a1, a2, b1, b2), pairs),
+            ((1, 3), {(1, 1), (3, 3), (1, 3)}),
+        ):
+            self.check(hand_built_order(classes, rel))
 
 
 class TestOrderChecks:

@@ -1,18 +1,23 @@
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import shiftmorita
 from shiftmorita import decide
 from shiftmorita.cli import main
 from shiftmorita.core_order import CoreOrder, CountedOrder, build_order
 from shiftmorita.decide import (
     _certificate,
     _extend_witness,
-    brute_force_isomorphic,
     decide_morita,
     graphs_isomorphic_ordered,
     order_isomorphisms,
@@ -25,6 +30,7 @@ from shiftmorita.labelled_graph import (
     build_graph,
     cached_graph,
 )
+from shiftmorita.reference import brute_force_isomorphic
 from shiftmorita.shift import InvariantViolation, TransitionMatrix
 from shiftmorita.smorita import _assemble_and_verify, build_cd, cd_isomorphic
 from shiftmorita.sweeps import all_matrices, permuted_copy
@@ -540,11 +546,9 @@ class TestFourLetterCrossCheck:
 class TestProductionPath:
     def test_reference_covers_are_never_called(self, monkeypatch, diamond):
         """The graph, the CD and a cross-checked decide read their covers
-        off the class order; ``hull.covers_below_at`` is the reference the
-        sweeps and tests use, and the production path must not need it."""
-        import sys
-
-        from shiftmorita import hull
+        off the class order; ``reference.covers_below_at`` is the reference
+        the sweeps and tests use, and the production path must not need it."""
+        from shiftmorita import reference
         from shiftmorita.smorita import build_cd
 
         def refuse(*args):
@@ -552,7 +556,7 @@ class TestProductionPath:
 
         for name, module in list(sys.modules.items()):
             if name.startswith("shiftmorita") and (
-                getattr(module, "covers_below_at", None) is hull.covers_below_at
+                getattr(module, "covers_below_at", None) is reference.covers_below_at
             ):
                 monkeypatch.setattr(module, "covers_below_at", refuse)
         n = 6
@@ -565,3 +569,42 @@ class TestProductionPath:
             assert len(build_graph(T).labels) == len(build_graph(U).labels)
             assert len(build_cd(T).Cll) == len(build_cd(U).Cll)
             assert decide_morita(T, U, cross_check=True).equivalent
+
+    def test_decision_path_loads_no_reference_code(self, diamond):
+        """A fresh interpreter builds a graph and decides the diamond against
+        a relabelled copy, without cross-check, and loads none of the
+        verification modules.  The production modules keep none of the
+        names that moved to ``reference``."""
+        U = permuted_copy(diamond, [2, 0, 1])
+        code = "; ".join([
+            "import json, sys, shiftmorita",
+            "from shiftmorita.shift import TransitionMatrix",
+            f"T = shiftmorita.parse_matrix({DIAMOND_TEXT!r})",
+            f"U = TransitionMatrix({U.symbols!r}, {U.rows!r})",
+            "shiftmorita.build_graph(T)",
+            "assert shiftmorita.decide_morita(T, U).equivalent",
+            "print(json.dumps(sorted(sys.modules)))",
+        ])
+        src = str(Path(shiftmorita.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        loaded = set(json.loads(out))
+        assert "shiftmorita.decide" in loaded
+        for name in ("reference", "lgis", "oracle", "sweeps", "smorita"):
+            assert f"shiftmorita.{name}" not in loaded
+        from shiftmorita import core_order, hull, lgis
+
+        moved = {
+            core_order: ("core_of_at", "check_meet_identity"),
+            hull: ("covers_below_at", "covers_below"),
+            decide: ("brute_force_isomorphic",),
+            lgis: (
+                "RawGraph", "raw_of", "relative_source_raw",
+                "labelled_paths_raw", "check_resolving", "_move",
+            ),
+        }
+        for module, names in moved.items():
+            for name in names:
+                assert not hasattr(module, name), (module.__name__, name)

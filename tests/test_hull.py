@@ -5,8 +5,6 @@ from hypothesis import given, settings
 
 from shiftmorita.hull import (
     base_idem,
-    covers_below,
-    covers_below_at,
     dclass_rep,
     enumerate_idems,
     fclass_witness,
@@ -15,6 +13,7 @@ from shiftmorita.hull import (
     make_idem,
 )
 from shiftmorita.oracle import Oracle, compose
+from shiftmorita.reference import covers_below, covers_below_at
 from shiftmorita.shift import f_classes
 
 from conftest import mx

@@ -1,8 +1,9 @@
 import pytest
 
 from shiftmorita.core_order import cached_order
-from shiftmorita.hull import covers_below, dclass_rep, make_idem
+from shiftmorita.hull import dclass_rep, make_idem
 from shiftmorita.labelled_graph import Edge, Label, LabelledGraph, build_graph, to_dot
+from shiftmorita.reference import covers_below
 from shiftmorita.sweeps import all_matrices
 
 from conftest import mx, seeded_matrices

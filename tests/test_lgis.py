@@ -11,16 +11,13 @@ import shiftmorita
 from shiftmorita import lgis, sweeps
 
 from shiftmorita.labelled_graph import build_graph
-from shiftmorita.lgis import (
-    LgisEngine,
-    ProductTables,
+from shiftmorita.lgis import LgisEngine, ProductTables, TableSizeError, run_axiom_suite
+from shiftmorita.reference import (
     RawGraph,
-    TableSizeError,
     check_resolving,
     labelled_paths_raw,
     raw_of,
     relative_source_raw,
-    run_axiom_suite,
 )
 from shiftmorita.shift import InvariantViolation
 

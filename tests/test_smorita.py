@@ -11,7 +11,6 @@ from shiftmorita.smorita import (
     cd_isomorphic,
     coherent_check,
     make_sidem,
-    sidem_equal,
     sidem_leq,
     sidem_product,
 )
@@ -35,23 +34,27 @@ def k(diamond):
 
 
 class TestEquality:
+    """Two triples are the same element exactly when their canonical forms
+    from ``make_sidem`` are equal."""
+
     def test_shared_small_middle(self, diamond, order):
         c = k(diamond)
         ed = base_idem(diamond, c["d"])
         x = make_sidem(diamond, order, c["a"], ed)
         y = make_sidem(diamond, order, c["b"], ed)
-        assert sidem_equal(x, y, order)
         assert x == y  # canonical forms coincide
 
     def test_distinct_middles(self, diamond, order):
         c = k(diamond)
         x = make_sidem(diamond, order, c["a"], base_idem(diamond, c["a"]))
         y = make_sidem(diamond, order, c["b"], base_idem(diamond, c["b"]))
-        assert not sidem_equal(x, y, order)
+        assert x != y
 
-    def test_zeros_equal(self, order):
-        assert sidem_equal(None, None, order)
-        assert not sidem_equal(None, object(), order)
+    def test_zeros_equal(self, diamond, order):
+        a = k(diamond)["a"]
+        zero = make_sidem(diamond, order, a, None)
+        assert zero is None
+        assert zero != make_sidem(diamond, order, a, base_idem(diamond, a))
 
     def test_long_middles_rejected(self, diamond, order):
         deep = make_idem(diamond, (0, 1), diamond.mask_of("bc"))
