@@ -22,6 +22,7 @@ path pairs only.
 from __future__ import annotations
 
 from collections import Counter
+from math import isqrt
 from typing import Sequence
 
 from . import reference
@@ -181,16 +182,23 @@ class LgisEngine:
     def count_elements(self, maxlen: int) -> int:
         """``len(enumerate_elements(maxlen))`` without listing a path: the
         paths are counted level by level per last label, and summed per
-        cap; each pair of caps gives count * count * |cap ∩ cap| elements."""
+        cap; each pair of caps gives count * count * |cap ∩ cap| elements.
+        The count stops at the first level whose running total passes
+        isqrt(``MAX_TABLE_CELLS``), the most elements whose product table
+        fits, so a count above that may fall short of the full one."""
         labels = range(self.nlabels)
         ends, caps = [1] * self.nlabels, Counter({self._cap_down(()): 1})
+        total = 1 + len(self.order.classes)
         for _ in range(maxlen):
+            if total > isqrt(MAX_TABLE_CELLS):
+                break
             for j, n in enumerate(ends):
                 caps[self._cap_down((j,))] += n
             ends = [sum(ends[i] for i in labels if self.compatible(i, j)) for j in labels]
-        return 1 + sum(
-            m * n * (a & b).bit_count() for a, m in caps.items() for b, n in caps.items()
-        )
+            total = 1 + sum(
+                m * n * (a & b).bit_count() for a, m in caps.items() for b, n in caps.items()
+            )
+        return total
 
 
 _BITS = 21  # width of each packed key field: alpha id, beta id, middle vertex
@@ -249,15 +257,6 @@ class ProductTables:
         u = self._operands(len(self.keys))
         self.left = self._table(x, u)
         self.right = self._table(u, x)
-
-    @staticmethod
-    def check_size(rows: int, cols: int) -> None:
-        if rows * cols > MAX_TABLE_CELLS:
-            try:
-                msg = f"a {rows} x {cols} product table exceeds {MAX_TABLE_CELLS} cells"
-            except ValueError:  # a count with too many digits to print
-                msg = f"a product table has more than {MAX_TABLE_CELLS} cells"
-            raise TableSizeError(msg)
 
     def id_of(self, e: Element) -> int:
         """The universe id of an element already in the universe."""
@@ -330,7 +329,10 @@ class ProductTables:
 
         xa, xv, xb = x
         ya, yv, yb = y
-        self.check_size(len(xa), len(ya))
+        if len(xa) * len(ya) > MAX_TABLE_CELLS:
+            raise TableSizeError(
+                f"a {len(xa)} x {len(ya)} product table exceeds {MAX_TABLE_CELLS} cells"
+            )
         betas, bi = np.unique(xb, return_inverse=True)
         gammas, gi = np.unique(ya, return_inverse=True)
         case, tail = self._relation(betas, gammas)
@@ -403,7 +405,8 @@ def run_axiom_suite(
 
     eng = LgisEngine(G)
     n = eng.count_elements(maxlen)
-    ProductTables.check_size(n, n)  # before any element is built
+    if n * n > MAX_TABLE_CELLS:  # before any element is built; n may stop short
+        raise TableSizeError(f"a product table has more than {MAX_TABLE_CELLS} cells")
     elems = eng.enumerate_elements(maxlen)
     tab = ProductTables(eng, elems)
     pair, left, right = tab.pair, tab.left, tab.right

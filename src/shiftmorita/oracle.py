@@ -39,13 +39,8 @@ class Oracle:
     def __init__(self, T: TransitionMatrix, depth: int):
         if depth < 2:
             raise ValueError("oracle depth must be >= 2")
-        words = self.word_count(T, depth)
-        if words > self.MAX_WORDS:
-            try:
-                msg = f"depth {depth} allows {words} words, more than {self.MAX_WORDS}"
-            except ValueError:  # a count with too many digits to print
-                msg = f"depth {depth} allows more than {self.MAX_WORDS} words"
-            raise ValueError(msg)
+        if self.word_count(T, depth) > self.MAX_WORDS:
+            raise ValueError(f"depth {depth} allows more than {self.MAX_WORDS} words")
         self.T = T
         self.depth = depth
         self.words = allowed_words(T, depth)
@@ -65,9 +60,13 @@ class Oracle:
     @staticmethod
     def word_count(T: TransitionMatrix, depth: int) -> int:
         """``len(allowed_words(T, depth))``, counted length by length per
-        last letter without listing a word."""
+        last letter without listing a word.  The count stops at the first
+        length whose running total passes ``MAX_WORDS``, so a count above
+        that may fall short of the full one."""
         ends, total = [1] * T.n, 0
         for _ in range(depth):
+            if total > Oracle.MAX_WORDS:
+                break
             total += sum(ends)
             ends = [
                 sum(n for a, n in enumerate(ends) if T.rows[a] >> b & 1) for b in range(T.n)

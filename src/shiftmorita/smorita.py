@@ -5,11 +5,14 @@ A diagonal triple [u, g, u] pairs a nonzero D-class u with a hull
 idempotent g below u's representative; two triples are the same element
 exactly when the middles agree and the outer classes have nonzero meet, so
 each element is stored with the least class that represents it, and two
-stored triples are the same element exactly when they are equal.  Products
-insert the representative of the meet between the middles.
+stored triples are the same element exactly when they are equal.  That
+class is the first class, by mask, above the middle whose down-set meets
+the outer class's (``make_sidem`` has the proof).  Products insert the
+representative of the meet between the middles.
 
-CD consists of the class representatives themselves plus the guarded
-covers [b, f, b]; it is closed under products, its guarded covers are
+CD consists of the class representatives [v, e_v, v] themselves, each
+already in that form, plus the guarded covers [b, f, b], read in the
+labels' order; it is closed under products, its guarded covers are
 exactly its primitive idempotents, and a D-class preserving isomorphism of
 two CDs is what the decision procedure's graph search must agree with.
 Its ``counted_order`` groups the guarded covers by (outer class, D-class),
@@ -48,13 +51,8 @@ class SIdem:
     u: int
     g: HullIdempotent
 
-    def key(self) -> tuple:
-        return (self.u, self.g.key())
 
-
-def make_sidem(
-    T: TransitionMatrix, order: CoreOrder, u: int, g: "HullIdempotent | None"
-) -> "SIdem | None":
+def make_sidem(order: CoreOrder, u: int, g: "HullIdempotent | None") -> "SIdem | None":
     """Normalize [u, g, u] to its least equivalent outer class.
 
     Valid classes for the middle g are those whose representative sits
@@ -73,10 +71,11 @@ def make_sidem(
     that check).  So u^j1 and j1^j2 have
     a common lower bound, which lies below u and j2: u meets j2.
 
-    So the fold from u (in the group) is the AND of the group's masks: each
-    partial fold m is valid and below u, so in the group, and meets the next
-    class j; a nonzero meet is the AND class.  Only the AND's membership
-    is left to check.
+    So the fold from u (in the group) is a class of the group contained in
+    every other member: each partial fold m is valid and below u, so in
+    the group, and meets the next class j.  A mask contained in every other
+    mask of the group is the smallest, and classes are sorted by mask, so
+    the fold is the group's first class in index order.
     """
     if g is None:
         return None
@@ -88,40 +87,30 @@ def make_sidem(
     i = order.index.get(u)
     if i is None or not valid >> i & 1:
         raise ValueError("middle does not sit below the outer class")
-    du, least, group = order.down[i], u, 0
-    for j in _bits(valid):
-        if order.down[j] & du:
-            group |= 1 << j
-            least &= order.classes[j]
-    m = order.index.get(least)
-    if m is None or not group >> m & 1:
-        raise InvariantViolation("least equivalent class does not carry the middle")
-    return SIdem(least, g)
+    du = order.down[i]
+    return SIdem(order.classes[next(j for j in _bits(valid) if order.down[j] & du)], g)
 
 
-def sidem_leq(
-    T: TransitionMatrix, order: CoreOrder, x: "SIdem | None", y: "SIdem | None"
-) -> bool:
+def sidem_leq(order: CoreOrder, x: "SIdem | None", y: "SIdem | None") -> bool:
     if x is None:
         return True
     if y is None:
         return False
-    return idem_leq(T, x.g, y.g) and order.meet(x.u, y.u) is not None
+    return idem_leq(order.matrix, x.g, y.g) and order.meet(x.u, y.u) is not None
 
 
-def sidem_product(
-    T: TransitionMatrix, order: CoreOrder, x: "SIdem | None", y: "SIdem | None"
-) -> "SIdem | None":
+def sidem_product(order: CoreOrder, x: "SIdem | None", y: "SIdem | None") -> "SIdem | None":
     """[u, g e_{u^v} h, v], renormalized; zero when anything collapses."""
     if x is None or y is None:
         return None
     m = order.meet(x.u, y.u)
     if m is None:
         return None
-    mid = idem_product(T, idem_product(T, x.g, base_idem(T, m)), y.g)
+    T = order.matrix
+    mid = idem_product(T, idem_product(T, x.g, HullIdempotent((), m)), y.g)
     if mid is None:
         return None
-    return make_sidem(T, order, m, mid)
+    return make_sidem(order, m, mid)
 
 
 class CDSet:
@@ -131,30 +120,25 @@ class CDSet:
         self.matrix = T
         self.order = cached_order(T)
         order = self.order
+        # each class is the least valid class for its own representative
         self.C: tuple[SIdem, ...] = tuple(
-            sorted(
-                (make_sidem(T, order, v, base_idem(T, v)) for v in order.classes),
-                key=SIdem.key,
-            )
+            SIdem(v, HullIdempotent((), v)) for v in order.classes
         )
         cll: list[SIdem] = []
         for b in order.classes:
             for f in order.label_covers(b):
-                s = make_sidem(T, order, b, f)
+                s = make_sidem(order, b, f)
                 if s.u != b:
                     raise InvariantViolation("guarded cover left its own class")
                 cll.append(s)
-        self.Cll: tuple[SIdem, ...] = tuple(sorted(cll, key=SIdem.key))
-        for x in self.C:
-            if not x.u == dclass_rep(x.g) == x.g.vec:
-                raise InvariantViolation("class representative is not its own D-class")
+        self.Cll: tuple[SIdem, ...] = tuple(cll)  # in the labels' order
         if set(self.C) & set(self.Cll):
             raise InvariantViolation("C and Cll are not disjoint")
         self.elements: tuple[SIdem, ...] = self.C + self.Cll
         self._members = frozenset(self.elements)
 
     def product(self, x: "SIdem | None", y: "SIdem | None") -> "SIdem | None":
-        p = sidem_product(self.matrix, self.order, x, y)
+        p = sidem_product(self.order, x, y)
         if p is not None and p not in self._members:
             raise InvariantViolation(
                 f"CD is not closed under products: {self.fmt(x)} * {self.fmt(y)}"
@@ -189,13 +173,13 @@ def coherent_check(T: TransitionMatrix) -> bool:
     # (1) products of representatives stay representatives
     for x in cd.C:
         for y in cd.C:
-            p = sidem_product(T, order, x, y)
+            p = sidem_product(order, x, y)
             if p is not None and p not in cset:
                 return False
 
     # (2) interval closure over every diagonal triple with short middles
     all_sidems = {
-        make_sidem(T, order, u, g)
+        make_sidem(order, u, g)
         for u in order.classes
         for g in enumerate_idems(T, 1)
         if idem_leq(T, g, base_idem(T, u))
@@ -205,16 +189,16 @@ def coherent_check(T: TransitionMatrix) -> bool:
             continue
         for lo in cd.C:
             for hi in cd.C:
-                if sidem_leq(T, order, lo, f) and sidem_leq(T, order, f, hi):
+                if sidem_leq(order, lo, f) and sidem_leq(order, f, hi):
                     return False
 
     # (3) products of incomparable covers of a representative land in C
     for v in order.classes:
-        covers = [make_sidem(T, order, v, g) for g in covers_below(T, v)]
+        covers = [make_sidem(order, v, g) for g in covers_below(T, v)]
         for f, g in combinations(covers, 2):
-            if sidem_leq(T, order, f, g) or sidem_leq(T, order, g, f):
+            if sidem_leq(order, f, g) or sidem_leq(order, g, f):
                 continue
-            p = sidem_product(T, order, f, g)
+            p = sidem_product(order, f, g)
             if p is not None and p not in cset:
                 return False
     return True
@@ -245,11 +229,7 @@ def _assemble_and_verify(cd1: CDSet, cd2: CDSet, sigma: dict[int, int]) -> dict:
     and equality, and sigma keeps all three.  A failure is an
     ``InvariantViolation``.
     """
-    pi: dict[SIdem, SIdem] = {}
-    for c1 in cd1.C:
-        pi[c1] = make_sidem(
-            cd2.matrix, cd2.order, sigma[c1.u], base_idem(cd2.matrix, sigma[c1.u])
-        )
+    pi: dict[SIdem, SIdem] = {x: cd2.C[cd2.order.index[sigma[x.u]]] for x in cd1.C}
     pi.update(cd1.counted_order.carry(cd2.counted_order, sigma))
     if len(set(pi.values())) != len(pi):
         raise InvariantViolation("an order isomorphism gave a non-injective CD map")

@@ -223,7 +223,7 @@ def sweep_cd(T: TransitionMatrix) -> list[str]:
             if cd.product(x, y) != want:
                 fails.append(f"Cll*Cll rule failed: {cd.fmt(x)} {cd.fmt(y)}")
     for x in cd.elements:
-        below = [y for y in cd.elements if sidem_leq(T, order, y, x)]
+        below = [y for y in cd.elements if sidem_leq(order, y, x)]
         if (below == [x]) != (x in cd.Cll):
             fails.append(f"primitivity misclassified: {cd.fmt(x)}")
     return fails

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -154,15 +155,18 @@ class TestLgisCheck:
         assert main(["lgis-check", matrix_file, "--maxlen", "4"]) == 2
         captured = capsys.readouterr()
         assert "verdict" not in captured.out
-        assert "a 8211 x 8211 product table exceeds 16777216 cells" in captured.err
+        assert "a product table has more than 16777216 cells" in captured.err
 
     @pytest.mark.parametrize("maxlen, n", [(5, 25051596), (6, 400798156)])
     def test_large_table_refused_before_any_path_is_listed(
         self, tmp_path, capsys, monkeypatch, maxlen, n
     ):
         """J-I over 5 letters (every letter may follow every other one):
-        the element count alone refuses it."""
+        the element count alone refuses it, and stops below the full
+        count n."""
+        from shiftmorita.labelled_graph import build_graph
         from shiftmorita.lgis import LgisEngine
+        from shiftmorita.shift import parse_matrix
 
         def refuse(self, maxlen):
             raise AssertionError("listed")
@@ -170,20 +174,30 @@ class TestLgisCheck:
         monkeypatch.setattr(LgisEngine, "enumerate_elements", refuse)
         monkeypatch.setattr(LgisEngine, "paths", refuse)
         rows = "\n".join("".join("0" if i == j else "1" for j in range(5)) for i in range(5))
-        f = write(tmp_path, "ji5.mx", "a b c d e\n" + rows + "\n")
-        assert main(["lgis-check", f, "--maxlen", str(maxlen)]) == 2
+        text = "a b c d e\n" + rows + "\n"
+        assert main(["lgis-check", write(tmp_path, "ji5.mx", text), "--maxlen", str(maxlen)]) == 2
         captured = capsys.readouterr()
         assert "verdict" not in captured.out
-        assert f"a {n} x {n} product table exceeds 16777216 cells" in captured.err
+        assert "a product table has more than 16777216 cells" in captured.err
+        assert 4096 < LgisEngine(build_graph(parse_matrix(text))).count_elements(maxlen) < n
 
     def test_count_too_long_to_print_names_the_bound(self, matrix_file, capsys):
-        # at path length <= 20 000 the diamond's element count has more
-        # digits than Python converts to a string
+        # at path length <= 20 000 the diamond's full element count has more
+        # digits than Python converts to a string; the count stops early
         assert main(["lgis-check", matrix_file, "--maxlen", "20000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "more than 16777216 cells" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_refusal_at_a_huge_maxlen_is_quick(self, tmp_path, capsys):
+        # the one-letter shift has one path per length, so the element count
+        # passes its bound near length 63 and stops there
+        f = write(tmp_path, "a.mx", "a\n1\n")
+        start = time.perf_counter()
+        assert main(["lgis-check", f, "--maxlen", "100000000"]) == 2
+        assert time.perf_counter() - start < 2
+        assert "a product table has more than 16777216 cells" in capsys.readouterr().err
 
 
 class TestOracleCheck:
@@ -205,16 +219,25 @@ class TestOracleCheck:
         assert main(["oracle-check", matrix_file, "--depth", "40"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: depth 40 allows 1004422742303475 words")
+        assert captured.err.startswith("error: depth 40 allows more than 131072 words")
 
     def test_word_count_too_long_to_print_names_the_bound(self, matrix_file, capsys):
-        # at depth 20 000 the diamond's word count has more digits than
-        # Python converts to a string
+        # at depth 20 000 the diamond's full word count has more digits than
+        # Python converts to a string; the count stops early
         assert main(["oracle-check", matrix_file, "--depth", "20000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: depth 20000 allows more than 131072 words")
         assert "Traceback" not in captured.err
+
+    def test_refusal_at_a_huge_depth_is_quick(self, tmp_path, capsys):
+        # the one-letter shift allows one word per length, so the word count
+        # passes its bound at length 131 073 and stops there
+        f = write(tmp_path, "a.mx", "a\n1\n")
+        start = time.perf_counter()
+        assert main(["oracle-check", f, "--depth", "100000000"]) == 2
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err.startswith("error: depth 100000000 allows more than 131072 words")
 
     def test_corrupt_negative_control_exit_1(self, matrix_file, capsys):
         assert main(["oracle-check", matrix_file, "--corrupt"]) == 1

@@ -45,7 +45,7 @@ class TestBuild:
 
         monkeypatch.setattr(oracle, "allowed_words", refuse)
         assert Oracle.word_count(diamond, 13) <= Oracle.MAX_WORDS
-        with pytest.raises(ValueError, match="depth 14 allows 299424 words"):
+        with pytest.raises(ValueError, match="depth 14 allows more than 131072 words"):
             Oracle(diamond, 14)
 
 

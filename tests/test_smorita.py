@@ -4,6 +4,7 @@ import pytest
 
 from shiftmorita.core_order import cached_order
 from shiftmorita.hull import base_idem, dclass_rep, enumerate_idems, idem_leq, make_idem
+from shiftmorita.labelled_graph import build_graph
 from shiftmorita.shift import InvariantViolation
 from shiftmorita.smorita import (
     SIdem,
@@ -40,67 +41,67 @@ class TestEquality:
     def test_shared_small_middle(self, diamond, order):
         c = k(diamond)
         ed = base_idem(diamond, c["d"])
-        x = make_sidem(diamond, order, c["a"], ed)
-        y = make_sidem(diamond, order, c["b"], ed)
+        x = make_sidem(order, c["a"], ed)
+        y = make_sidem(order, c["b"], ed)
         assert x == y  # canonical forms coincide
 
     def test_distinct_middles(self, diamond, order):
         c = k(diamond)
-        x = make_sidem(diamond, order, c["a"], base_idem(diamond, c["a"]))
-        y = make_sidem(diamond, order, c["b"], base_idem(diamond, c["b"]))
+        x = make_sidem(order, c["a"], base_idem(diamond, c["a"]))
+        y = make_sidem(order, c["b"], base_idem(diamond, c["b"]))
         assert x != y
 
     def test_zeros_equal(self, diamond, order):
         a = k(diamond)["a"]
-        zero = make_sidem(diamond, order, a, None)
+        zero = make_sidem(order, a, None)
         assert zero is None
-        assert zero != make_sidem(diamond, order, a, base_idem(diamond, a))
+        assert zero != make_sidem(order, a, base_idem(diamond, a))
 
     def test_long_middles_rejected(self, diamond, order):
         deep = make_idem(diamond, (0, 1), diamond.mask_of("bc"))
         with pytest.raises(ValueError, match="word length"):
-            make_sidem(diamond, order, diamond.mask_of("ab"), deep)
+            make_sidem(order, diamond.mask_of("ab"), deep)
 
 
 class TestOrderAndProduct:
     def test_smaller_middle_below(self, diamond, order):
         c = k(diamond)
         ea = base_idem(diamond, c["a"])
-        x = make_sidem(diamond, order, c["a"], base_idem(diamond, c["d"]))
-        y = make_sidem(diamond, order, c["a"], ea)
-        assert sidem_leq(diamond, order, x, y)
+        x = make_sidem(order, c["a"], base_idem(diamond, c["d"]))
+        y = make_sidem(order, c["a"], ea)
+        assert sidem_leq(order, x, y)
 
     def test_d_below_a(self, diamond, order):
         c = k(diamond)
-        x = make_sidem(diamond, order, c["d"], base_idem(diamond, c["d"]))
-        y = make_sidem(diamond, order, c["a"], base_idem(diamond, c["a"]))
-        assert sidem_leq(diamond, order, x, y)
-        assert not sidem_leq(diamond, order, y, x)
+        x = make_sidem(order, c["d"], base_idem(diamond, c["d"]))
+        y = make_sidem(order, c["a"], base_idem(diamond, c["a"]))
+        assert sidem_leq(order, x, y)
+        assert not sidem_leq(order, y, x)
 
     def test_zero_below_everything(self, diamond, order):
         c = k(diamond)
-        y = make_sidem(diamond, order, c["a"], base_idem(diamond, c["a"]))
-        assert sidem_leq(diamond, order, None, y)
-        assert not sidem_leq(diamond, order, y, None)
+        y = make_sidem(order, c["a"], base_idem(diamond, c["a"]))
+        assert sidem_leq(order, None, y)
+        assert not sidem_leq(order, y, None)
 
     def test_product_of_representatives(self, diamond, order):
         c = k(diamond)
-        x = make_sidem(diamond, order, c["a"], base_idem(diamond, c["a"]))
-        y = make_sidem(diamond, order, c["b"], base_idem(diamond, c["b"]))
-        p = sidem_product(diamond, order, x, y)
-        assert p == make_sidem(diamond, order, c["d"], base_idem(diamond, c["d"]))
+        x = make_sidem(order, c["a"], base_idem(diamond, c["a"]))
+        y = make_sidem(order, c["b"], base_idem(diamond, c["b"]))
+        p = sidem_product(order, x, y)
+        assert p == make_sidem(order, c["d"], base_idem(diamond, c["d"]))
 
     def test_zero_absorbs(self, diamond, order):
         c = k(diamond)
-        x = make_sidem(diamond, order, c["a"], base_idem(diamond, c["a"]))
-        assert sidem_product(diamond, order, x, None) is None
+        x = make_sidem(order, c["a"], base_idem(diamond, c["a"]))
+        assert sidem_product(order, x, None) is None
 
     def test_incomparable_classes_to_zero(self):
         T = mx("a b\n10\n01")
         o = cached_order(T)
-        x = make_sidem(T, o, 1, base_idem(T, 1))
-        y = make_sidem(T, o, 2, base_idem(T, 2))
-        assert sidem_product(T, o, x, y) is None
+        x = make_sidem(o, 1, base_idem(T, 1))
+        y = make_sidem(o, 2, base_idem(T, 2))
+        assert sidem_product(o, x, y) is None
 
 
 class TestCD:
@@ -212,9 +213,9 @@ def reference_make_sidem(T, order, u, g):
 
 class TestMakeSidemMatchesReference:
     @staticmethod
-    def outcome(fn, T, order, u, g):
+    def outcome(fn, *args):
         try:
-            return fn(T, order, u, g)
+            return fn(*args)
         except (ValueError, InvariantViolation) as ex:
             return type(ex), str(ex)
 
@@ -236,7 +237,7 @@ class TestMakeSidemMatchesReference:
                 pairs = rng.sample(pairs, 400)
             for u, g in pairs:
                 want = self.outcome(reference_make_sidem, T, order, u, g)
-                assert self.outcome(make_sidem, T, order, u, g) == want, (
+                assert self.outcome(make_sidem, order, u, g) == want, (
                     T.rows, u, g,
                 )
                 calls += 1
@@ -271,9 +272,10 @@ class TestMaskAndMatchesFold:
 
         calls = []
 
-        def checked(T, order, u, g):
-            got = make_sidem(T, order, u, g)
+        def checked(order, u, g):
+            got = make_sidem(order, u, g)
             if g is not None:
+                T = order.matrix
                 assert got == fold_make_sidem(T, order, u, g), (T.rows, u, g)
                 calls.append(got)
             return got
@@ -286,13 +288,17 @@ class TestMaskAndMatchesFold:
                     cd.product(x, y)
         assert len(calls) > 30000
 
-    def test_an_and_outside_the_group_raises(self, diamond):
-        """On an order that breaks the representative-product identity the
-        AND of the group can leave it; ``make_sidem`` raises instead of
-        returning that class.  Here {a,b} sits below {b,c} and {b} below
-        neither, so the group of {a,b} with middle ({}, {b}) is {a,b}, {b,c},
-        {a,b,c}, and its AND is {b}."""
+    def test_a_broken_order_fails_the_meet_identity(self, diamond):
+        """The proof that the group's first class is the fold leans on the
+        representative-product identity, which criterion 3 checks.  On an
+        order that breaks it the two differ: here {a,b} sits below {b,c} and
+        {b} below neither, so the group of {a,b} with middle ({}, {b}) is
+        {a,b}, {b,c}, {a,b,c}; the fold gives {b}, outside the group, and
+        ``make_sidem`` the first class {a,b}.  ``check_meet_identity``
+        refuses the order."""
         import dataclasses
+
+        from shiftmorita.reference import check_meet_identity
 
         order = cached_order(diamond)
         ab, bc, b = (diamond.mask_of(x) for x in ("ab", "bc", "b"))
@@ -301,8 +307,24 @@ class TestMaskAndMatchesFold:
         down[i] = 1 << i
         down[j] = 1 << j | 1 << i
         broken = dataclasses.replace(order, down=tuple(down))
+        assert check_meet_identity(diamond, order)
+        assert not check_meet_identity(diamond, broken)
         g = base_idem(diamond, b)
-        # the fold alone would settle on {b}, outside the group
         assert fold_make_sidem(diamond, broken, ab, g) == SIdem(b, g)
-        with pytest.raises(InvariantViolation, match="does not carry the middle"):
-            make_sidem(diamond, broken, ab, g)
+        assert make_sidem(broken, ab, g) == SIdem(ab, g)
+
+
+class TestCDListsMatchReferences:
+    """``C`` written out directly and ``Cll`` in the labels' order, on every
+    matrix with at most 3 letters and the seeded 4-7-letter sample."""
+
+    def test_c_is_each_class_normalized_by_the_reference(self):
+        for T in list(all_matrices(3)) + seeded_matrices():
+            order = cached_order(T)
+            want = [reference_make_sidem(T, order, v, base_idem(T, v)) for v in order.classes]
+            assert list(build_cd(T).C) == want, T.rows
+
+    def test_cll_is_in_label_order(self):
+        for T in list(all_matrices(3)) + seeded_matrices():
+            got = [(x.u, x.g) for x in build_cd(T).Cll]
+            assert got == [(lab.vertex, lab.cover) for lab in build_graph(T).labels], T.rows
