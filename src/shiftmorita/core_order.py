@@ -19,10 +19,10 @@ closed, so the kernel runs only those two (``_core`` has the proof).
 
 ``CountedOrder`` is the one owner of the items grouped on pairs of classes
 that decide Morita equivalence: a graph's labels by (range vertex, cover
-class) and the combinatorial data's guarded covers by (outer class,
-D-class).  The isomorphism search reads the group sizes as counts, and
-``CountedOrder.carry`` zips the groups along the class bijection it finds,
-for both searches.
+class), which are also the combinatorial data's guarded covers by (outer
+class, D-class).  Each graph builds one (``LabelledGraph.counted_order``),
+and both isomorphism searches read it: the group sizes as counts, and
+``CountedOrder.carry`` to zip the groups along the class bijection found.
 """
 
 from __future__ import annotations
@@ -115,7 +115,9 @@ class CountedOrder:
     per class, the group sizes at it by c (``at``) and into it by v
     (``into``) as (class index, n) pairs; and each class's profile, an
     invariant of count-preserving isomorphisms.  ``groups`` keeps each
-    group's items in the order given, for ``carry``.
+    group's items in the order given, for ``carry``.  Outside the tests,
+    only ``LabelledGraph.counted_order`` builds one, over the graph's
+    labels; the CD search reads that one too.
 
     Every class must come after the classes below it, so that fixing the
     classes in index order fixes each down-set with its top; ``ValueError``

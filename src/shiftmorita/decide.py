@@ -10,11 +10,11 @@ number of labels at the vertex whose cover lies in that class.
 ``order_isomorphisms`` enumerates those bijections between two
 ``CountedOrder``s, pruned by vertex profiles and checked on down-sets
 only.  The graph search here and the CD search in ``smorita`` share it,
-and each takes the first bijection it yields and carries its groups along
-it with ``CountedOrder.carry``: every one extends, to the edge-level
-witness (re-verified edge by edge) or to the full product table, so a
-failure to extend is an ``InvariantViolation``.  The graph search reads
-each graph's ``counted_order``, built once per graph.
+both on each graph's ``counted_order``, built once per graph; each takes
+the first bijection it yields and carries the label groups along it with
+``CountedOrder.carry``: every one extends, to the edge-level witness
+(re-verified edge by edge) or to the full product table, so a failure to
+extend is an ``InvariantViolation``.
 
 ``decide_morita`` takes both graphs from ``labelled_graph.cached_graph``, so
 that comparing many matrices against a few builds each graph once.  A

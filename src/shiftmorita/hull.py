@@ -72,7 +72,7 @@ def fclass_witness(T: TransitionMatrix, vec: int) -> tuple[int, ...]:
 
 
 def idem_product(
-    T: TransitionMatrix, e1: "HullIdempotent | None", e2: "HullIdempotent | None"
+    e1: "HullIdempotent | None", e2: "HullIdempotent | None"
 ) -> "HullIdempotent | None":
     """Canonical form of the intersection of the two domains."""
     if e1 is None or e2 is None:
@@ -90,11 +90,9 @@ def idem_product(
     return e2 if e1.vec >> w2[len(w1)] & 1 else None
 
 
-def idem_leq(
-    T: TransitionMatrix, e1: "HullIdempotent | None", e2: "HullIdempotent | None"
-) -> bool:
+def idem_leq(e1: "HullIdempotent | None", e2: "HullIdempotent | None") -> bool:
     """Natural partial order: e1 <= e2 iff e1 e2 = e1."""
-    return idem_product(T, e1, e2) == e1
+    return idem_product(e1, e2) == e1
 
 
 def dclass_rep(e: HullIdempotent) -> int:

@@ -11,7 +11,8 @@ the class order's bitsets in order, so the labels come out in ``Label.key``
 order and the edges in (label, source) order without a sort.  ``Label`` and
 ``Edge`` are named tuples, built, hashed and ordered as plain tuples.
 Each graph's ``counted_order`` groups its labels by (range vertex, cover
-class) for the isomorphism search and the witness.
+class) for the isomorphism search and the witness, and for the
+combinatorial data's search, whose guarded covers are these labels.
 
 ``cached_graph`` keeps the graph of each recent matrix, so that repeated
 decisions against one matrix build its graph once.  A graph is shared by

@@ -51,6 +51,9 @@ class LgisEngine:
         return self.order.leq(self.ranges[j], self.srcs[i])
 
     def paths(self, maxlen: int) -> list[Path]:
+        """Every labelled path of length <= maxlen in (length, path) order,
+        by induction: level 1 ascends, and so does each level made from an
+        ascending one by the ascending ``follow`` of each last label."""
         labels = range(self.nlabels)
         follow = [[j for j in labels if self.compatible(i, j)] for i in labels]
         out: list[Path] = [()]
@@ -171,11 +174,10 @@ class LgisEngine:
     def enumerate_elements(self, maxlen: int) -> list[Element]:
         """Zero plus every (alpha, A, beta) with path lengths <= maxlen,
         in a deterministic order."""
-        paths = sorted(self.paths(maxlen), key=lambda p: (len(p), p))
-        caps = [self._cap_down(p) for p in paths]
+        capped = [(p, self._cap_down(p)) for p in self.paths(maxlen)]
         classes, out = self.order.classes, [None]
-        for alpha, da in zip(paths, caps):
-            for beta, db in zip(paths, caps):
+        for alpha, da in capped:
+            for beta, db in capped:
                 out.extend((alpha, classes[v], beta) for v in _bits(da & db))
         return out
 

@@ -64,7 +64,7 @@ def covers_below_at(
     maximal = [
         c
         for c in cands
-        if not any(d != c and idem_leq(T, c, d) for d in cands)
+        if not any(d != c and idem_leq(c, d) for d in cands)
     ]
     return tuple(sorted(maximal, key=HullIdempotent.key))
 
@@ -95,7 +95,7 @@ def core_of_at(
     def rule_products() -> set[HullIdempotent]:
         new = set()
         for f, g in combinations_with_replacement(sorted(members, key=HullIdempotent.key), 2):
-            p = idem_product(T, f, g)
+            p = idem_product(f, g)
             if p is not None and p not in members:
                 new.add(p)
         return new
@@ -109,9 +109,9 @@ def core_of_at(
                     for g in cs2:
                         if f == g or (f in members and g in members):
                             continue
-                        if idem_leq(T, f, g) or idem_leq(T, g, f):
+                        if idem_leq(f, g) or idem_leq(g, f):
                             continue
-                        if idem_product(T, f, g) is None:
+                        if idem_product(f, g) is None:
                             continue
                         for x in (f, g):
                             if x not in members:
@@ -129,13 +129,13 @@ def core_of_at(
         new = set()
         for e1 in members:
             for e2 in members:
-                if e1 == e2 or not idem_leq(T, e1, e2):
+                if e1 == e2 or not idem_leq(e1, e2):
                     continue
                 for u in f_classes(T):
                     g = make_idem(T, e1.word, u)
                     if g is None or g in members:
                         continue
-                    if g != e1 and g != e2 and idem_leq(T, e1, g) and idem_leq(T, g, e2):
+                    if g != e1 and g != e2 and idem_leq(e1, g) and idem_leq(g, e2):
                         new.add(g)
         return new
 

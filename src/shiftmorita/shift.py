@@ -34,8 +34,9 @@ class TransitionMatrix:
     """Ordered alphabet plus one follower bitmask per letter.
 
     Bit i of every mask refers to ``symbols[i]``; the input order of the
-    symbols is authoritative and fixes bit positions for all outputs.  The
-    hash, that of ``(symbols, rows)``, is computed once.
+    symbols is authoritative and fixes bit positions for all outputs.  Each
+    row is nonzero and lies within the alphabet.  The hash, that of
+    ``(symbols, rows)``, is computed once.
     """
 
     symbols: tuple[str, ...]
@@ -48,6 +49,8 @@ class TransitionMatrix:
         for s, row in zip(self.symbols, self.rows):
             if row >> n:
                 raise ValueError(f"row {s!r} has bits beyond the {n}-letter alphabet")
+            if not row:
+                raise ValueError(f"zero row for symbol {s!r}")
         object.__setattr__(self, "_hash", hash((self.symbols, self.rows)))
 
     def __hash__(self) -> int:

@@ -10,26 +10,27 @@ class is the first class, by mask, above the middle whose down-set meets
 the outer class's (``make_sidem`` has the proof).  Products insert the
 representative of the meet between the middles.
 
-CD consists of the class representatives [v, e_v, v] themselves, each
-already in that form, plus the guarded covers [b, f, b], read in the
-labels' order; it is closed under products, its guarded covers are
-exactly its primitive idempotents, and a D-class preserving isomorphism of
-two CDs is what the decision procedure's graph search must agree with.
-Its ``counted_order`` groups the guarded covers by (outer class, D-class),
-the same groups with the same sizes as the graph's labels, so the CD search
-shares the graph search's engine and its ``CountedOrder.carry``, and keeps
-its own finisher, the full product table.  The first class bijection the
-engine yields decides, and one that fails the table is an
-``InvariantViolation``.
+CD consists of the class representatives [v, e_v, v] and the guarded
+covers [b, f, b], one per label (b, f) of the labelled graph and in the
+labels' order; each is already in that form (``CDSet`` has the proof).  CD
+is closed under products, its guarded covers are exactly its primitive
+idempotents, and a D-class preserving isomorphism of two CDs is what the
+decision procedure's graph search must agree with.  Grouped by (outer
+class, D-class), the guarded covers are the graph's labels grouped by
+(range vertex, cover class), in the same order over the same class order.
+So the CD search runs on each graph's ``counted_order`` (``cached_graph``),
+carries its groups with ``CountedOrder.carry``, reads each label (b, f) as
+[b, f, b], and keeps its own finisher, the full product table.  The first
+class bijection the engine yields decides, and one that fails the table is
+an ``InvariantViolation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
-from .core_order import CoreOrder, CountedOrder, _bits, cached_order
+from .core_order import CoreOrder, _bits, cached_order
 from .decide import order_isomorphisms
 from .hull import (
     HullIdempotent,
@@ -40,6 +41,7 @@ from .hull import (
     idem_leq,
     idem_product,
 )
+from .labelled_graph import cached_graph
 from .reference import covers_below
 from .shift import InvariantViolation, TransitionMatrix
 
@@ -96,7 +98,7 @@ def sidem_leq(order: CoreOrder, x: "SIdem | None", y: "SIdem | None") -> bool:
         return True
     if y is None:
         return False
-    return idem_leq(order.matrix, x.g, y.g) and order.meet(x.u, y.u) is not None
+    return idem_leq(x.g, y.g) and order.meet(x.u, y.u) is not None
 
 
 def sidem_product(order: CoreOrder, x: "SIdem | None", y: "SIdem | None") -> "SIdem | None":
@@ -106,34 +108,39 @@ def sidem_product(order: CoreOrder, x: "SIdem | None", y: "SIdem | None") -> "SI
     m = order.meet(x.u, y.u)
     if m is None:
         return None
-    T = order.matrix
-    mid = idem_product(T, idem_product(T, x.g, HullIdempotent((), m)), y.g)
+    mid = idem_product(idem_product(x.g, HullIdempotent((), m)), y.g)
     if mid is None:
         return None
     return make_sidem(order, m, mid)
 
 
 class CDSet:
-    """C (class representatives) and Cll (guarded covers) with products."""
+    """C (class representatives) and Cll (guarded covers) with products.
+
+    Both are written out in canonical form.  Each class v is the least
+    valid class for its own representative.  Each guarded cover f of b
+    gives [b, f, b]: b is valid for f, and no valid class w listed before b
+    has a down-set meeting b's.  Suppose one did.  The meet check in
+    ``build_order`` makes w & b a class below b, and it carries f's letters.
+    - For an O-type f = ((c,), row c), c is in no proper subclass of b, so
+      w & b = b.
+    - For an F-type f = ((), u), w & b lies between u and b, so by the
+      maximality of u it is u or b.  It is not u, since the guard drops
+      every u below b.
+    So b is inside w, and w has the larger mask, so it is listed after b.
+    C and Cll are disjoint: a Cll middle is a one-letter word, or ((), u)
+    with u not b, and neither is ((), b).
+    """
 
     def __init__(self, T: TransitionMatrix):
         self.matrix = T
-        self.order = cached_order(T)
-        order = self.order
-        # each class is the least valid class for its own representative
+        self.order = order = cached_order(T)
         self.C: tuple[SIdem, ...] = tuple(
             SIdem(v, HullIdempotent((), v)) for v in order.classes
         )
-        cll: list[SIdem] = []
-        for b in order.classes:
-            for f in order.label_covers(b):
-                s = make_sidem(order, b, f)
-                if s.u != b:
-                    raise InvariantViolation("guarded cover left its own class")
-                cll.append(s)
-        self.Cll: tuple[SIdem, ...] = tuple(cll)  # in the labels' order
-        if set(self.C) & set(self.Cll):
-            raise InvariantViolation("C and Cll are not disjoint")
+        self.Cll: tuple[SIdem, ...] = tuple(
+            SIdem(b, f) for b in order.classes for f in order.label_covers(b)
+        )
         self.elements: tuple[SIdem, ...] = self.C + self.Cll
         self._members = frozenset(self.elements)
 
@@ -144,12 +151,6 @@ class CDSet:
                 f"CD is not closed under products: {self.fmt(x)} * {self.fmt(y)}"
             )
         return p
-
-    @cached_property
-    def counted_order(self) -> CountedOrder:
-        """The class order with the guarded covers grouped by (outer class,
-        D-class), each group in ``Cll`` order; built once per CD."""
-        return CountedOrder(self.order, (((x.u, dclass_rep(x.g)), x) for x in self.Cll))
 
     def fmt(self, x: "SIdem | None") -> str:
         if x is None:
@@ -182,15 +183,13 @@ def coherent_check(T: TransitionMatrix) -> bool:
         make_sidem(order, u, g)
         for u in order.classes
         for g in enumerate_idems(T, 1)
-        if idem_leq(T, g, base_idem(T, u))
+        if idem_leq(g, base_idem(T, u))
     }
-    for f in all_sidems:
-        if f in cset:
-            continue
-        for lo in cd.C:
-            for hi in cd.C:
-                if sidem_leq(order, lo, f) and sidem_leq(order, f, hi):
-                    return False
+    for f in all_sidems - cset:
+        if any(sidem_leq(order, lo, f) for lo in cd.C) and any(
+            sidem_leq(order, f, hi) for hi in cd.C
+        ):
+            return False
 
     # (3) products of incomparable covers of a representative land in C
     for v in order.classes:
@@ -209,19 +208,24 @@ def cd_isomorphic(cd1: CDSet, cd2: CDSet) -> "dict | None":
 
     The class bijection must be an order isomorphism and carry the guarded
     covers grouped by (outer class, D-class) onto matching groups; any such
-    data determines the map.  The first such bijection decides: it always
-    extends (``_assemble_and_verify``), and the map is re-verified on the
-    full product table before being returned.
+    data determines the map.  Those groups are the labels' groups of each
+    matrix's graph, so the search runs on the graphs' ``counted_order``.
+    The first such bijection decides: it always extends
+    (``_assemble_and_verify``), and the map is re-verified on the full
+    product table before being returned.
     """
     if len(cd1.order.classes) != len(cd2.order.classes) or len(cd1.Cll) != len(cd2.Cll):
         return None
-    sigma = next(order_isomorphisms(cd1.counted_order, cd2.counted_order), None)
+    s1, s2 = cached_graph(cd1.matrix).counted_order, cached_graph(cd2.matrix).counted_order
+    sigma = next(order_isomorphisms(s1, s2), None)
     return None if sigma is None else _assemble_and_verify(cd1, cd2, sigma)
 
 
 def _assemble_and_verify(cd1: CDSet, cd2: CDSet, sigma: dict[int, int]) -> dict:
     """The element map over a count-preserving order isomorphism sigma of
-    the classes, checked on D-classes and the full product table.
+    the classes, checked on D-classes and the full product table.  The
+    guarded covers go along the graphs' label groups, label (b, f) read as
+    [b, f, b].
 
     Such a sigma always extends.  The product rules of criterion 5 (C*C is
     the representative of the meet, Cll*C is the cover or zero by the order,
@@ -230,7 +234,8 @@ def _assemble_and_verify(cd1: CDSet, cd2: CDSet, sigma: dict[int, int]) -> dict:
     ``InvariantViolation``.
     """
     pi: dict[SIdem, SIdem] = {x: cd2.C[cd2.order.index[sigma[x.u]]] for x in cd1.C}
-    pi.update(cd1.counted_order.carry(cd2.counted_order, sigma))
+    s1, s2 = cached_graph(cd1.matrix).counted_order, cached_graph(cd2.matrix).counted_order
+    pi.update((SIdem(*a), SIdem(*b)) for a, b in s1.carry(s2, sigma).items())
     if len(set(pi.values())) != len(pi):
         raise InvariantViolation("an order isomorphism gave a non-injective CD map")
     for x in cd1.elements:

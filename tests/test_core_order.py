@@ -30,7 +30,7 @@ def reference_order(T):
     for core in cores.values():
         for f in core:
             for g in core:
-                if idem_leq(T, f, g):
+                if idem_leq(f, g):
                     pairs.add((f.vec, g.vec))
     changed = True
     while changed:

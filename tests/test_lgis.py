@@ -514,11 +514,14 @@ def element_count(T) -> int:
 class TestTableSizeGuard:
     def test_count_matches_enumeration(self, diamond_graph):
         """On every graph with at most 3 letters up to path length 2, and on
-        the diamond up to 4 (8 211 elements, which ``lgis-check`` refuses)."""
+        the diamond up to 4 (8 211 elements, which ``lgis-check`` refuses).
+        The paths the enumeration lists come in (length, path) order."""
         for G in map(build_graph, sweeps.all_matrices(3)):
             eng = LgisEngine(G)
             for maxlen in (0, 1, 2):
                 assert eng.count_elements(maxlen) == len(eng.enumerate_elements(maxlen))
+                paths = eng.paths(maxlen)
+                assert paths == sorted(paths, key=lambda p: (len(p), p))
         eng = LgisEngine(diamond_graph)
         for maxlen in (3, 4):
             assert eng.count_elements(maxlen) == len(eng.enumerate_elements(maxlen))

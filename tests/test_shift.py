@@ -180,6 +180,15 @@ class TestMatrixShape:
             TransitionMatrix(("a",), (-1,))
         assert TransitionMatrix(("a", "b"), (0b11, 0b10)).n == 2
 
+    def test_rows_must_be_nonzero(self):
+        """A zero row lets every word die out; ``parse_matrix`` refuses it
+        with its own ``MatrixFormatError`` before construction."""
+        with pytest.raises(ValueError, match="zero row for symbol 'b'") as ex:
+            TransitionMatrix(("a", "b"), (0b10, 0))
+        assert not isinstance(ex.value, MatrixFormatError)
+        with pytest.raises(MatrixFormatError, match="zero row for symbol 'b'"):
+            parse_matrix("a b\n01\n00")
+
     def test_hash_is_that_of_symbols_and_rows(self):
         import pickle
 

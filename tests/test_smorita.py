@@ -4,7 +4,7 @@ import pytest
 
 from shiftmorita.core_order import cached_order
 from shiftmorita.hull import base_idem, dclass_rep, enumerate_idems, idem_leq, make_idem
-from shiftmorita.labelled_graph import build_graph
+from shiftmorita.labelled_graph import build_graph, cached_graph
 from shiftmorita.shift import InvariantViolation
 from shiftmorita.smorita import (
     SIdem,
@@ -126,7 +126,8 @@ class TestCD:
 
     def test_d_tags_match_middle_classes(self, diamond):
         cd = build_cd(diamond)
-        tags = {x: d for (_, d), group in cd.counted_order.groups.items() for x in group}
+        groups = cached_graph(diamond).counted_order.groups
+        tags = {SIdem(*lab): d for (_, d), group in groups.items() for lab in group}
         assert set(tags) == set(cd.Cll)
         for x in cd.elements:
             assert tags.get(x, x.u) == dclass_rep(x.g)
@@ -188,9 +189,9 @@ def reference_make_sidem(T, order, u, g):
         return None
     if len(g.word) > 1:
         raise ValueError("middles are restricted to word length <= 1")
-    if u not in order.classes or not idem_leq(T, g, base_idem(T, u)):
+    if u not in order.classes or not idem_leq(g, base_idem(T, u)):
         raise ValueError("middle does not sit below the outer class")
-    valid = [v for v in order.classes if idem_leq(T, g, base_idem(T, v))]
+    valid = [v for v in order.classes if idem_leq(g, base_idem(T, v))]
     group = {u}
     changed = True
     while changed:
@@ -206,7 +207,7 @@ def reference_make_sidem(T, order, u, g):
         least = v if least is None else order.meet(least, v)
         if least is None:
             raise InvariantViolation("equality class of a triple has no meet")
-    if least not in group or not idem_leq(T, g, base_idem(T, least)):
+    if least not in group or not idem_leq(g, base_idem(T, least)):
         raise InvariantViolation("least equivalent class does not carry the middle")
     return SIdem(least, g)
 
@@ -265,9 +266,10 @@ def fold_make_sidem(T, order, u, g):
 
 class TestMaskAndMatchesFold:
     def test_every_call_of_the_cd_products(self, monkeypatch):
-        """Every ``make_sidem`` call that building each CD and its full
-        product table makes, on every matrix with at most 3 letters and the
-        seeded 4-7-letter sample, equals the meet fold."""
+        """Every ``make_sidem`` call that normalizing each CD's guarded
+        covers and building its full product table makes, on every matrix
+        with at most 3 letters and the seeded 4-7-letter sample, equals the
+        meet fold."""
         import shiftmorita.smorita as sm
 
         calls = []
@@ -283,6 +285,8 @@ class TestMaskAndMatchesFold:
         monkeypatch.setattr(sm, "make_sidem", checked)
         for T in list(all_matrices(3)) + seeded_matrices():
             cd = build_cd(T)
+            for x in cd.Cll:
+                assert sm.make_sidem(cd.order, x.u, x.g) == x
             for x in cd.elements:
                 for y in cd.elements:
                     cd.product(x, y)
@@ -315,7 +319,7 @@ class TestMaskAndMatchesFold:
 
 
 class TestCDListsMatchReferences:
-    """``C`` written out directly and ``Cll`` in the labels' order, on every
+    """``C`` and ``Cll`` written out directly, ``Cll`` in the labels' order, on every
     matrix with at most 3 letters and the seeded 4-7-letter sample."""
 
     def test_c_is_each_class_normalized_by_the_reference(self):
@@ -323,6 +327,12 @@ class TestCDListsMatchReferences:
             order = cached_order(T)
             want = [reference_make_sidem(T, order, v, base_idem(T, v)) for v in order.classes]
             assert list(build_cd(T).C) == want, T.rows
+
+    def test_cll_is_each_label_normalized_by_the_reference(self):
+        for T in list(all_matrices(3)) + seeded_matrices():
+            order = cached_order(T)
+            for x in build_cd(T).Cll:
+                assert reference_make_sidem(T, order, x.u, x.g) == x, (T.rows, x)
 
     def test_cll_is_in_label_order(self):
         for T in list(all_matrices(3)) + seeded_matrices():
