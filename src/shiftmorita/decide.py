@@ -9,18 +9,19 @@ number of labels at the vertex whose cover lies in that class.
 
 ``order_isomorphisms`` enumerates those bijections between two
 ``CountedOrder``s, pruned by vertex profiles and checked on down-sets
-only.  The graph search here and the CD search in ``smorita`` share it,
-both on each graph's ``counted_order``, built once per graph; each takes
-the first bijection it yields and carries the label groups along it with
-``CountedOrder.carry``: every one extends, to the edge-level witness
-(re-verified edge by edge) or to the full product table, so a failure to
+only; each graph's ``counted_order`` is built once per graph.  The first
+bijection it yields decides: ``CountedOrder.carry`` takes the label groups
+along it, and every such map extends to a witness, re-verified with each
+edge's image derived from the vertex and label maps, so a failure to
 extend is an ``InvariantViolation``.
 
 ``decide_morita`` takes both graphs from ``labelled_graph.cached_graph``, so
-that comparing many matrices against a few builds each graph once.  A
-negative verdict carries the first invariant that differs; the vertex
-profiles behind it are built only when the vertex, label and edge counts
-agree.
+that comparing many matrices against a few builds each graph once.  Under
+``cross_check`` the witness's vertex map is carried on to the
+combinatorial data (``smorita``), where it must pass the full product
+table.  A negative verdict carries the first invariant that differs; the
+vertex profiles behind it are built only when the vertex, label and edge
+counts agree.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .shift import InvariantViolation, TransitionMatrix
 
 @dataclass(frozen=True)
 class IsoWitness:
-    """Vertex, edge and label bijections, as tuple-pair maps."""
+    """Vertex and label bijections, as tuple-pair maps.  An edge is the
+    triple (range, label, source), so its image is read off the two."""
 
     vertex_map: tuple[tuple[int, int], ...]
     label_map: tuple[tuple[Label, Label], ...]
-    edge_map: tuple[tuple[Edge, Edge], ...]
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def order_isomorphisms(
 def _extend_witness(
     G1: LabelledGraph, G2: LabelledGraph, pi0: dict[int, int]
 ) -> IsoWitness:
-    """The forced label and edge bijections over a count-preserving order
+    """The forced label bijection over a count-preserving order
     isomorphism of the vertices, in G1's (key) order, verified.
 
     Such a map always extends.  The labels at (a, c) and at (pi0 a, pi0 c)
@@ -123,9 +124,6 @@ def _extend_witness(
     witness = IsoWitness(
         tuple(sorted(pi0.items())),
         tuple((lab, pi2[lab]) for lab in G1.labels),
-        tuple(
-            (e, Edge(pi0[e.range], pi2[e.label], pi0[e.source])) for e in G1.edges
-        ),
     )
     if not verify_witness(G1, G2, witness):
         raise InvariantViolation("an order isomorphism failed to extend to a witness")
@@ -133,11 +131,12 @@ def _extend_witness(
 
 
 def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
-    """Full independent re-verification of all isomorphism conditions; the
-    vertex map must carry each down-set onto the down-set of the image."""
+    """Full independent re-verification of all isomorphism conditions: the
+    vertex and label maps are bijections, the edge images (pi0 range,
+    pi2 label, pi0 source) are distinct and are exactly G2's edges, and the
+    vertex map carries each down-set onto the down-set of the image."""
     pi0 = dict(w.vertex_map)
     pi2 = dict(w.label_map)
-    pi1 = dict(w.edge_map)
     if sorted(pi0) != sorted(G1.vertices) or sorted(pi0.values()) != sorted(
         G2.vertices
     ):
@@ -146,11 +145,8 @@ def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
         pi2.values(), key=Label.key
     ) != list(G2.labels):
         return False
-    # set(pi1) reuses the dict's hashes, and set == set compares stored ones
-    images = set(pi1.values())
-    if len(pi1) != len(G1.edges) or len(images) != len(G2.edges):
-        return False
-    if set(pi1) != set(G1.edges) or images != set(G2.edges):
+    images = {Edge(pi0[e.range], pi2[e.label], pi0[e.source]) for e in G1.edges}
+    if len(images) != len(G1.edges) or images != set(G2.edges):
         return False
     o1, o2 = G1.order, G2.order
     image_bit = [1 << o2.index[pi0[a]] for a in o1.classes]
@@ -159,13 +155,6 @@ def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
         for c in _bits(o1.down[i]):
             image |= image_bit[c]
         if image != o2.down[o2.index[pi0[a]]]:
-            return False
-    for e, f in pi1.items():
-        if f.source != pi0[e.source]:
-            return False
-        if f.range != pi0[e.range]:
-            return False
-        if f.label != pi2[e.label]:
             return False
     return True
 
@@ -207,19 +196,18 @@ def decide_morita(
     T1: TransitionMatrix, T2: TransitionMatrix, cross_check: bool = False
 ) -> Verdict:
     """Decide on the two labelled graphs, each built at most once per
-    matrix (``cached_graph``); optionally cross-check the graph verdict
-    against the combinatorial-data isomorphism search and fail hard on
-    disagreement.  The graphs are shared with later calls and only read."""
+    matrix (``cached_graph``).  With ``cross_check``, an EQUIVALENT
+    verdict's vertex map must also extend to an isomorphism of the
+    combinatorial data that keeps the full product table
+    (``smorita._assemble_and_verify``, an ``InvariantViolation`` when it
+    does not); a NOT EQUIVALENT one builds no CD.  The graphs are shared
+    with later calls and only read."""
     G1, G2 = cached_graph(T1), cached_graph(T2)
     witness = graphs_isomorphic_ordered(G1, G2)
+    if witness is None:
+        return Verdict(False, None, _certificate(G1, G2))
     if cross_check:
-        from .smorita import build_cd, cd_isomorphic
+        from .smorita import _assemble_and_verify, build_cd
 
-        cd_w = cd_isomorphic(build_cd(T1), build_cd(T2))
-        if (witness is None) != (cd_w is None):
-            raise InvariantViolation(
-                "graph isomorphism and CD isomorphism verdicts disagree"
-            )
-    if witness is not None:
-        return Verdict(True, witness, None)
-    return Verdict(False, None, _certificate(G1, G2))
+        _assemble_and_verify(build_cd(T1), build_cd(T2), dict(witness.vertex_map))
+    return Verdict(True, witness, None)

@@ -34,9 +34,10 @@ class TransitionMatrix:
     """Ordered alphabet plus one follower bitmask per letter.
 
     Bit i of every mask refers to ``symbols[i]``; the input order of the
-    symbols is authoritative and fixes bit positions for all outputs.  Each
-    row is nonzero and lies within the alphabet.  The hash, that of
-    ``(symbols, rows)``, is computed once.
+    symbols is authoritative and fixes bit positions for all outputs.  The
+    symbols are distinct, nonempty and free of whitespace, and there is at
+    least one; each row is nonzero and lies within the alphabet.  The
+    hash, that of ``(symbols, rows)``, is computed once.
     """
 
     symbols: tuple[str, ...]
@@ -44,8 +45,17 @@ class TransitionMatrix:
 
     def __post_init__(self) -> None:
         n = len(self.symbols)
+        if not n:
+            raise ValueError("empty alphabet")
         if len(self.rows) != n:
             raise ValueError(f"{n} symbols but {len(self.rows)} rows")
+        seen = set()
+        for s in self.symbols:
+            if s.split() != [s]:
+                raise ValueError(f"symbol {s!r} is empty or holds whitespace")
+            if s in seen:
+                raise ValueError(f"duplicate symbol {s!r}")
+            seen.add(s)
         for s, row in zip(self.symbols, self.rows):
             if row >> n:
                 raise ValueError(f"row {s!r} has bits beyond the {n}-letter alphabet")

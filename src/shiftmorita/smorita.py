@@ -22,7 +22,10 @@ So the CD search runs on each graph's ``counted_order`` (``cached_graph``),
 carries its groups with ``CountedOrder.carry``, reads each label (b, f) as
 [b, f, b], and keeps its own finisher, the full product table.  The first
 class bijection the engine yields decides, and one that fails the table is
-an ``InvariantViolation``.
+an ``InvariantViolation``.  That finisher, ``_assemble_and_verify``, is
+also what ``decide_morita(cross_check=True)`` runs on the graph witness's
+vertex map, so a cross-checked decision searches once.  ``cd_isomorphic``
+runs the whole search on its own; the sweeps call it.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import shiftmorita
 from shiftmorita import decide
@@ -31,7 +32,7 @@ from shiftmorita.labelled_graph import (
     cached_graph,
 )
 from shiftmorita.reference import brute_force_isomorphic
-from shiftmorita.shift import InvariantViolation, TransitionMatrix
+from shiftmorita.shift import InvariantViolation, TransitionMatrix, f_classes
 from shiftmorita.smorita import _assemble_and_verify, build_cd, cd_isomorphic
 from shiftmorita.sweeps import all_matrices, permuted_copy
 
@@ -40,10 +41,10 @@ from conftest import DIAMOND_TEXT, mx
 
 def reference_verify_witness(G1, G2, w):
     """``verify_witness`` as it was before the bitset order check: the
-    order through n² ``leq`` lookups, and the edge sets rebuilt per check."""
+    order through n² ``leq`` lookups, and each edge's image derived from
+    the vertex and label maps and checked edge by edge."""
     pi0 = dict(w.vertex_map)
     pi2 = dict(w.label_map)
-    pi1 = dict(w.edge_map)
     if sorted(pi0) != sorted(G1.vertices) or sorted(pi0.values()) != sorted(
         G2.vertices
     ):
@@ -52,52 +53,60 @@ def reference_verify_witness(G1, G2, w):
         pi2.values(), key=Label.key
     ) != list(G2.labels):
         return False
-    if len(pi1) != len(G1.edges) or len(set(pi1.values())) != len(G2.edges):
-        return False
-    if set(pi1) != set(G1.edges) or set(pi1.values()) != set(G2.edges):
-        return False
     for a in G1.vertices:
         for b in G1.vertices:
             if G1.order.leq(a, b) != G2.order.leq(pi0[a], pi0[b]):
                 return False
-    for e, f in pi1.items():
-        if f.source != pi0[e.source]:
+    targets = set(G2.edges)
+    images = set()
+    for e in G1.edges:
+        f = Edge(pi0[e.range], pi2[e.label], pi0[e.source])
+        if f not in targets or f in images:
             return False
-        if f.range != pi0[e.range]:
-            return False
-        if f.label != pi2[e.label]:
-            return False
-    return True
+        images.add(f)
+    return len(images) == len(targets)
 
 
-def tampered(w):
-    """Broken copies of a witness, each wrong wherever it can be: the images
-    of the first edge's source and another vertex swapped, the images of two
-    labels swapped, the first edge's image given another source, and the
-    second edge sent onto the first edge's image."""
+def group_of(lab):
+    return (lab.vertex, lab.src_class)
+
+
+def tampered(G, w):
+    """Broken copies of a witness from graph G, each wrong wherever it can
+    be: the images of G's first edge's source and another vertex swapped,
+    and the images of two labels from different (range vertex, cover
+    class) groups swapped."""
     out = []
     vm = dict(w.vertex_map)
     if len(vm) > 1:
-        a = w.edge_map[0][0].source if w.edge_map else w.vertex_map[0][0]
+        a = G.edges[0].source if G.edges else w.vertex_map[0][0]
         b = next(v for v in vm if v != a)
         vm[a], vm[b] = vm[b], vm[a]
         out.append(dataclasses.replace(w, vertex_map=tuple(sorted(vm.items()))))
     lm = list(w.label_map)
-    if len(lm) > 1:
-        (l0, i0), (l1, i1) = lm[0], lm[1]
-        lm[0], lm[1] = (l0, i1), (l1, i0)
+    j = next(
+        (j for j, (lab, _) in enumerate(lm) if group_of(lab) != group_of(lm[0][0])), None
+    )
+    if j is not None:
+        (l0, i0), (l1, i1) = lm[0], lm[j]
+        lm[0], lm[j] = (l0, i1), (l1, i0)
         out.append(dataclasses.replace(w, label_map=tuple(lm)))
-    em = list(w.edge_map)
-    if em and len(vm) > 1:
-        e, f = em[0]
-        other = next(v for v in vm.values() if v != f.source)
-        em[0] = (e, Edge(f.range, f.label, other))
-        out.append(dataclasses.replace(w, edge_map=tuple(em)))
-    em = list(w.edge_map)
-    if len(em) > 1:
-        em[1] = (em[1][0], em[0][1])
-        out.append(dataclasses.replace(w, edge_map=tuple(em)))
     return out
+
+
+def swapped_in_one_group(w):
+    """The witness with the images of two labels of one (range vertex,
+    cover class) group swapped, or None when every group has one label.
+    Such a swap is an automorphism of the label level."""
+    lm = list(w.label_map)
+    seen = {}
+    for j, (lab, _) in enumerate(lm):
+        i = seen.setdefault(group_of(lab), j)
+        if i != j:
+            (l0, i0), (l1, i1) = lm[i], lm[j]
+            lm[i], lm[j] = (l0, i1), (l1, i0)
+            return dataclasses.replace(w, label_map=tuple(lm))
+    return None
 
 
 class TestIsomorphism:
@@ -178,15 +187,16 @@ class TestIsomorphism:
 class TestVerifyMatchesReference:
     def test_every_equivalent_pair_up_to_three_letters(self):
         """Every ordered pair of equivalent ≤3-letter matrices (graphs of
-        equal counts, decided EQUIVALENT): the found witness and four
-        tampered copies get the same answer from both checks, and every
-        tampered copy is rejected."""
+        equal counts, decided EQUIVALENT): the found witness, its tampered
+        copies and a swap inside one label group get the same answer from
+        both checks; every tampered copy is rejected, and the swap inside
+        a group is accepted."""
         buckets: dict[tuple, list] = {}
         for T in all_matrices(3):
             G = build_graph(T)
             key = (len(G.vertices), len(G.labels), len(G.edges))
             buckets.setdefault(key, []).append(G)
-        pairs = 0
+        pairs = swaps = 0
         for graphs in buckets.values():
             for G1 in graphs:
                 for G2 in graphs:
@@ -196,10 +206,15 @@ class TestVerifyMatchesReference:
                     pairs += 1
                     assert verify_witness(G1, G2, w), G1.matrix.rows
                     assert reference_verify_witness(G1, G2, w)
-                    for bad in tampered(w):
+                    for bad in tampered(G1, w):
                         assert not verify_witness(G1, G2, bad), G1.matrix.rows
                         assert not reference_verify_witness(G1, G2, bad)
-        assert pairs > 3000
+                    same = swapped_in_one_group(w)
+                    if same is not None:
+                        swaps += 1
+                        assert verify_witness(G1, G2, same), G1.matrix.rows
+                        assert reference_verify_witness(G1, G2, same)
+        assert pairs > 3000 and swaps > 0
 
     def test_order_is_checked(self, diamond, diamond_graph):
         # a vertex swap that moves no edge: only the order check can catch
@@ -370,22 +385,68 @@ class TestFinisherFailures:
             with pytest.raises(InvariantViolation, match="differ in size"):
                 s1.carry(s2, identity)
 
-    def test_cross_check_disagreement_raises_and_decide_exits_3(
-        self, monkeypatch, tmp_path, capsys, diamond
-    ):
+    def test_cross_checked_decide_searches_once(self, monkeypatch, diamond):
+        """One search per cross-checked decide: the CD finisher takes the
+        graph witness's vertex map.  The engine is counted under both
+        module names it is reached by."""
         from shiftmorita import smorita
 
-        monkeypatch.setattr(smorita, "cd_isomorphic", lambda cd1, cd2: None)
+        calls = []
+
+        def counted(s1, s2):
+            calls.append((s1, s2))
+            return order_isomorphisms(s1, s2)
+
+        monkeypatch.setattr(decide, "order_isomorphisms", counted)
+        monkeypatch.setattr(smorita, "order_isomorphisms", counted)
+        other = permuted_copy(diamond, [2, 0, 1])
+        plain = decide_morita(diamond, other)
+        assert len(calls) == 1
+        checked = decide_morita(diamond, other, cross_check=True)
+        assert len(calls) == 2
+        assert checked == plain
+
+    def test_cd_product_broken_on_one_side_exits_3(
+        self, monkeypatch, tmp_path, capsys, diamond
+    ):
+        """A CD whose product is broken on the second matrix only: the
+        cross-checked decide raises from the product table, and ``decide
+        --cross-check`` exits 3 with nothing on stdout."""
+        from shiftmorita import smorita
+
+        built = []
+
+        def second_broken(T):
+            cd = smorita.CDSet(T)
+            built.append(T)
+            if len(built) % 2 == 0:
+                cd.product = lambda x, y: None
+            return cd
+
+        monkeypatch.setattr(smorita, "build_cd", second_broken)
         other = permuted_copy(diamond, [2, 0, 1])
         assert decide_morita(diamond, other).equivalent
-        with pytest.raises(InvariantViolation, match="verdicts disagree"):
+        with pytest.raises(InvariantViolation, match="broke the CD product"):
             decide_morita(diamond, other, cross_check=True)
         f = tmp_path / "diamond.mx"
         f.write_text(DIAMOND_TEXT + "\n")
         assert main(["decide", str(f), str(f), "--cross-check"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "verdicts disagree" in captured.err
+        assert "broke the CD product" in captured.err
+        assert len(built) == 4
+
+    def test_not_equivalent_cross_check_builds_no_cd(self, monkeypatch, diamond):
+        from shiftmorita import smorita
+
+        def refuse(T):
+            raise RuntimeError("a CD was built")
+
+        monkeypatch.setattr(smorita, "build_cd", refuse)
+        v = decide_morita(diamond, mx("a\n1"), cross_check=True)
+        assert not v.equivalent and "vertex count" in v.certificate
+        v = decide_morita(mx("a b\n10\n01"), mx("a b\n01\n10"), cross_check=True)
+        assert not v.equivalent and v.certificate.startswith("no order-compatible")
 
     def test_broken_cd_product_raises(self, diamond):
         cd1 = build_cd(diamond)
@@ -425,6 +486,42 @@ class TestDecide:
             build_graph(permuted_copy(diamond, [2, 0, 1])),
             v.witness,
         )
+
+
+@st.composite
+def relabelled_matrices(draw, max_classes=40):
+    """A 4-6-letter matrix with at most ``max_classes`` classes and a
+    permutation of its letters.  The first k rows are those of the J-I
+    family, the full mask less the row's own letter, which give it its
+    2^k - 2 classes; the others are any nonzero masks."""
+    n = draw(st.integers(4, 6))
+    k = draw(st.integers(0, n))
+    full = (1 << n) - 1
+    rest = draw(st.lists(st.integers(1, full), min_size=n - k, max_size=n - k))
+    rows = tuple(full & ~(1 << i) for i in range(k)) + tuple(rest)
+    T = TransitionMatrix(tuple("abcdef"[:n]), rows)
+    assume(len(f_classes(T)) <= max_classes)
+    return T, list(draw(st.permutations(range(n))))
+
+
+class TestRelabelledPastThreeLetters:
+    @settings(max_examples=150, deadline=None)
+    @given(relabelled_matrices())
+    def test_relabelled_copy_is_equivalent_with_and_without_cross_check(self, case):
+        """A relabelled copy is EQUIVALENT, plain and cross-checked, with
+        the same maps both ways, and each witness verifies on graphs built
+        afresh, outside the graph cache."""
+        T, perm = case
+        U = permuted_copy(T, perm)
+        plain = decide_morita(T, U)
+        checked = decide_morita(T, U, cross_check=True)
+        assert plain.equivalent and checked.equivalent
+        assert plain.witness.vertex_map == checked.witness.vertex_map
+        assert plain.witness.label_map == checked.witness.label_map
+        G1, G2 = build_graph(T), build_graph(U)
+        assert G1 is not cached_graph(T)
+        for v in (plain, checked):
+            assert verify_witness(G1, G2, v.witness)
 
 
 class TestGraphCache:

@@ -189,6 +189,23 @@ class TestMatrixShape:
         with pytest.raises(MatrixFormatError, match="zero row for symbol 'b'"):
             parse_matrix("a b\n01\n00")
 
+    def test_header_must_be_one_parse_matrix_accepts(self):
+        """An empty alphabet, a repeated symbol, and an empty symbol or one
+        holding whitespace are refused at construction, as ``parse_matrix``
+        refuses them in a header."""
+        with pytest.raises(ValueError, match="empty alphabet"):
+            TransitionMatrix((), ())
+        with pytest.raises(ValueError, match="duplicate symbol 'a'"):
+            TransitionMatrix(("a", "a"), (1, 2))
+        for bad in ("", "a b", " a", "a\n", "\tb"):
+            with pytest.raises(ValueError, match="empty or holds whitespace"):
+                TransitionMatrix(("x", bad), (1, 2))
+        with pytest.raises(MatrixFormatError, match="no alphabet line"):
+            parse_matrix("\n")
+        with pytest.raises(MatrixFormatError, match="duplicate symbol 'a'"):
+            parse_matrix("a a\n11\n11")
+        assert TransitionMatrix(("ab", "c'"), (1, 2)).fmt_word((0, 1)) == "ab c'"
+
     def test_hash_is_that_of_symbols_and_rows(self):
         import pickle
 
