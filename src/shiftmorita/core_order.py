@@ -21,8 +21,10 @@ closed, so the kernel runs only those two (``_core`` has the proof).
 that decide Morita equivalence: a graph's labels by (range vertex, cover
 class), which are also the combinatorial data's guarded covers by (outer
 class, D-class).  Each graph builds one (``LabelledGraph.counted_order``),
-and both isomorphism searches read it: the group sizes as counts, and
-``CountedOrder.carry`` to zip the groups along the class bijection found.
+and one search reads it (``decide.order_isomorphisms``, the group sizes
+as counts); ``CountedOrder.carry`` has one caller, the witness extension
+``decide._extend_witness``, which zips the groups along the class
+bijection found.  The combinatorial data takes that witness's label map.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class CountedOrder:
     invariant of count-preserving isomorphisms.  ``groups`` keeps each
     group's items in the order given, for ``carry``.  Outside the tests,
     only ``LabelledGraph.counted_order`` builds one, over the graph's
-    labels; the CD search reads that one too.
+    labels, and only the graph search reads it.
 
     Every class must come after the classes below it, so that fixing the
     classes in index order fixes each down-set with its top; ``ValueError``

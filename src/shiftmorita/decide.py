@@ -17,10 +17,11 @@ extend is an ``InvariantViolation``.
 
 ``decide_morita`` takes both graphs from ``labelled_graph.cached_graph``, so
 that comparing many matrices against a few builds each graph once.  Under
-``cross_check`` the witness's vertex map is carried on to the
-combinatorial data (``smorita``), where it must pass the full product
-table.  A negative verdict carries the first invariant that differs; the
-vertex profiles behind it are built only when the vertex, label and edge
+``cross_check`` the witness is carried on to the combinatorial data
+(``smorita``): its vertex map moves the class representatives, its label
+map the guarded covers, and the map must pass the full product table.
+A negative verdict carries the first invariant that differs; the vertex
+profiles behind it are built only when the vertex, label and edge
 counts agree.
 """
 
@@ -197,8 +198,8 @@ def decide_morita(
 ) -> Verdict:
     """Decide on the two labelled graphs, each built at most once per
     matrix (``cached_graph``).  With ``cross_check``, an EQUIVALENT
-    verdict's vertex map must also extend to an isomorphism of the
-    combinatorial data that keeps the full product table
+    verdict's witness must also give an isomorphism of the combinatorial
+    data that keeps the full product table
     (``smorita._assemble_and_verify``, an ``InvariantViolation`` when it
     does not); a NOT EQUIVALENT one builds no CD.  The graphs are shared
     with later calls and only read."""
@@ -209,5 +210,5 @@ def decide_morita(
     if cross_check:
         from .smorita import _assemble_and_verify, build_cd
 
-        _assemble_and_verify(build_cd(T1), build_cd(T2), dict(witness.vertex_map))
+        _assemble_and_verify(build_cd(T1), build_cd(T2), witness)
     return Verdict(True, witness, None)

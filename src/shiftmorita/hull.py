@@ -49,7 +49,7 @@ def make_idem(T: TransitionMatrix, word: Word, vec: int) -> "HullIdempotent | No
         return None
     if vec not in f_classes(T):
         raise ValueError(f"vector {vec:b} is not a follower class")
-    return HullIdempotent(tuple(word), vec)
+    return HullIdempotent(word, vec)
 
 
 def base_idem(T: TransitionMatrix, vec: int) -> HullIdempotent:
@@ -103,13 +103,14 @@ def dclass_rep(e: HullIdempotent) -> int:
 def enumerate_idems(
     T: TransitionMatrix, maxword: int
 ) -> tuple[HullIdempotent, ...]:
-    """All canonical idempotents with |word| <= maxword, sorted."""
-    out = [base_idem(T, v) for v in f_classes(T)]
+    """All canonical idempotents with |word| <= maxword, sorted.  Each word
+    is allowed, and the nonzero AND of a class with a row is a class, so
+    every pair built here is canonical as it stands."""
+    classes = f_classes(T)
+    out = [HullIdempotent((), v) for v in classes]
     for w in allowed_words(T, maxword):
-        for v in f_classes(T):
-            e = make_idem(T, w, v)
-            if e is not None:
-                out.append(e)
+        row = T.rows[w[-1]]
+        out.extend(HullIdempotent(w, v & row) for v in classes if v & row)
     return tuple(sorted(set(out), key=HullIdempotent.key))
 
 

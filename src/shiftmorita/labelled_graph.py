@@ -11,8 +11,8 @@ the class order's bitsets in order, so the labels come out in ``Label.key``
 order and the edges in (label, source) order without a sort.  ``Label`` and
 ``Edge`` are named tuples, built, hashed and ordered as plain tuples.
 Each graph's ``counted_order`` groups its labels by (range vertex, cover
-class) for the isomorphism search and the witness, and for the
-combinatorial data's search, whose guarded covers are these labels.
+class) for the isomorphism search and the witness; the combinatorial
+data's guarded covers are these labels, and its check takes the witness.
 
 ``cached_graph`` keeps the graph of each recent matrix, so that repeated
 decisions against one matrix build its graph once.  A graph is shared by
@@ -127,17 +127,22 @@ def fmt_label(T: TransitionMatrix, lab: Label) -> str:
     return f"({T.fmt_vec(lab.vertex)},{fmt_idem(T, lab.cover)})"
 
 
+def _dot_quoted(text: str) -> str:
+    """A DOT quoted string: ``"`` escaped.  Every text quoted here ends in
+    ``}`` or ``)``, so no backslash comes just before the closing quote."""
+    return '"' + text.replace('"', '\\"') + '"'
+
+
 def to_dot(G: LabelledGraph) -> str:
     """Deterministic DOT text: sorted vertices, edges sorted by label then
     source, labels shown as (class, cover) pairs."""
     out = ["digraph hull {"]
     for v in G.vertices:
-        out.append(f'  "{G.vertex_name(v)}";')
+        out.append(f"  {_dot_quoted(G.vertex_name(v))};")
     for e in G.edges:
         name = G.label_names[e.label]
-        out.append(
-            f'  "{G.vertex_name(e.source)}" -> "{G.vertex_name(e.range)}"'
-            f' [label="{name}={fmt_label(G.matrix, e.label)}"];'
-        )
+        src, rng = _dot_quoted(G.vertex_name(e.source)), _dot_quoted(G.vertex_name(e.range))
+        text = _dot_quoted(f"{name}={fmt_label(G.matrix, e.label)}")
+        out.append(f"  {src} -> {rng} [label={text}];")
     out.append("}")
     return "\n".join(out) + "\n"

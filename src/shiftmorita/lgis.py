@@ -9,14 +9,16 @@ compatibility and every relative source is either empty or the source set
 of the final letter, so everything reduces to vertex-order lookups.
 
 ``LgisEngine`` is the element algebra, one product at a time, and the
-reference the tests check every table cell against; its block forms give
-Green's D and the natural order over a whole element list.  The axiom
-suite needs every product among thousands of elements, so
-``ProductTables`` fills its tables by path-pair gathers: a product
-depends on the two inner paths only through their prefix case and tail,
-computed once per path pair, and the middle vertex comes from numpy
-gathers over the vertex leq and meet tables, on the cells of comparable
-path pairs only.
+reference the tests check every table cell against.  It derives once which
+labels may follow each label, and its paths, elements and counts read
+that relation; its block forms give Green's D and the natural order over a
+whole element list, and the axiom suite reads Green's R and L off the
+paths and middles.  The axiom suite needs every product among thousands
+of elements, so ``ProductTables`` fills its tables by path-pair gathers:
+a product depends on the two inner paths only through their prefix case
+and tail, computed once per path pair, and the middle vertex comes from
+numpy gathers over the vertex leq and meet tables, on the cells of
+comparable path pairs only.
 """
 
 from __future__ import annotations
@@ -43,24 +45,24 @@ class LgisEngine:
         self.nlabels = len(G.labels)
         self.ranges = tuple(lab.vertex for lab in G.labels)
         self.srcs = tuple(lab.src_class for lab in G.labels)
+        # follow[i]: the labels j that may follow label i in a labelled
+        # path (range of j inside the source of i), as a bitset
+        self.follow = tuple(
+            sum(1 << j for j, r in enumerate(self.ranges) if self.order.leq(r, s))
+            for s in self.srcs
+        )
 
     # ----- paths -------------------------------------------------------
-
-    def compatible(self, i: int, j: int) -> bool:
-        """Label j may follow label i inside a labelled path."""
-        return self.order.leq(self.ranges[j], self.srcs[i])
 
     def paths(self, maxlen: int) -> list[Path]:
         """Every labelled path of length <= maxlen in (length, path) order,
         by induction: level 1 ascends, and so does each level made from an
         ascending one by the ascending ``follow`` of each last label."""
-        labels = range(self.nlabels)
-        follow = [[j for j in labels if self.compatible(i, j)] for i in labels]
         out: list[Path] = [()]
-        level: list[Path] = [(i,) for i in labels]
+        level: list[Path] = [(i,) for i in range(self.nlabels)]
         for _ in range(maxlen):
             out.extend(level)
-            level = [p + (j,) for p in level for j in follow[p[-1]]]
+            level = [p + (j,) for p in level for j in _bits(self.follow[p[-1]])]
         return out
 
     def relative_source(self, A: "int | None", p: Path) -> "int | None":
@@ -77,7 +79,7 @@ class LgisEngine:
         for p in (alpha, beta):
             if not self._cap_down(p) >> self.order.index[A] & 1:
                 raise ValueError("middle set not contained in a source set")
-            if not all(self.compatible(i, j) for i, j in zip(p, p[1:])):
+            if not all(self.follow[i] >> j & 1 for i, j in zip(p, p[1:])):
                 raise ValueError("invalid labelled path")
         return (alpha, A, beta)
 
@@ -119,15 +121,6 @@ class LgisEngine:
         if alpha[: len(gamma)] != gamma or beta != delta + mu:
             return False
         return self.order.leq(A, self.relative_source(B, mu))
-
-    def green(self, x: Element, y: Element, relation: str) -> bool:
-        """Green's R (equal left paths and middles) or L (right paths)."""
-        if relation not in ("R", "L"):
-            raise ValueError(f"unknown relation {relation!r}")
-        if x is None or y is None:
-            return x is None and y is None
-        side = 0 if relation == "R" else 2
-        return x[side] == y[side] and x[1] == y[1]
 
     def d_classes(self, elems: Sequence[Element]) -> list[int]:
         """Green's D-class id per element: -1 for zero, else its middle A.
@@ -196,7 +189,7 @@ class LgisEngine:
                 break
             for j, n in enumerate(ends):
                 caps[self._cap_down((j,))] += n
-            ends = [sum(ends[i] for i in labels if self.compatible(i, j)) for j in labels]
+            ends = [sum(n for n, f in zip(ends, self.follow) if f >> j & 1) for j in labels]
             total = 1 + sum(
                 m * n * (a & b).bit_count() for a, m in caps.items() for b, n in caps.items()
             )

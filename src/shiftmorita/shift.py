@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Word = tuple[int, ...]
 
@@ -128,7 +128,7 @@ def parse_matrix(text: str) -> TransitionMatrix:
         )
     rows = []
     for i, ln in enumerate(body):
-        bits = ln.replace(" ", "").replace("\t", "")
+        bits = "".join(ln.split())
         if len(bits) != n:
             raise MatrixFormatError(
                 f"non-square body: row {i + 1} has {len(bits)} entries, expected {n}"
@@ -147,31 +147,9 @@ def parse_matrix(text: str) -> TransitionMatrix:
     return TransitionMatrix(symbols, tuple(rows))
 
 
-def parse_word(T: TransitionMatrix, text: str) -> Word:
-    """Read a word as a string of single-character symbols.  Over an
-    alphabet with a longer symbol such a string is ambiguous, so it is
-    refused; pass a sequence of letter indices instead."""
-    if any(len(s) != 1 for s in T.symbols):
-        raise ValueError(
-            "string words need single-character symbols; "
-            "pass a sequence of letter indices instead"
-        )
-    return tuple(T.index(ch) for ch in text)
-
-
-def as_word(T: TransitionMatrix, w: "str | Sequence[int]") -> Word:
-    if isinstance(w, str):
-        return parse_word(T, w)
-    word = tuple(w)
-    for i in word:
-        if not 0 <= i < T.n:
-            raise ValueError(f"letter index {i} out of range")
-    return word
-
-
-def word_allowed(T: TransitionMatrix, w: "str | Sequence[int]") -> bool:
-    """True iff w is empty or every consecutive transition is permitted."""
-    word = as_word(T, w)
+def word_allowed(T: TransitionMatrix, word: Word) -> bool:
+    """True iff the word is empty or every consecutive transition is
+    permitted."""
     return all(T.rows[a] >> b & 1 for a, b in zip(word, word[1:]))
 
 

@@ -18,14 +18,14 @@ idempotents, and a D-class preserving isomorphism of two CDs is what the
 decision procedure's graph search must agree with.  Grouped by (outer
 class, D-class), the guarded covers are the graph's labels grouped by
 (range vertex, cover class), in the same order over the same class order.
-So the CD search runs on each graph's ``counted_order`` (``cached_graph``),
-carries its groups with ``CountedOrder.carry``, reads each label (b, f) as
-[b, f, b], and keeps its own finisher, the full product table.  The first
-class bijection the engine yields decides, and one that fails the table is
-an ``InvariantViolation``.  That finisher, ``_assemble_and_verify``, is
-also what ``decide_morita(cross_check=True)`` runs on the graph witness's
-vertex map, so a cross-checked decision searches once.  ``cd_isomorphic``
-runs the whole search on its own; the sweeps call it.
+So the CD check takes the graph search's witness (``IsoWitness``): the
+class representatives follow its vertex map, each guarded cover [b, f, b]
+follows its label map, and the check is the full product table
+(``_assemble_and_verify``); a witness that fails the table is an
+``InvariantViolation``.  ``decide_morita(cross_check=True)`` runs that
+check on its own witness, so a cross-checked decision searches once.
+``cd_isomorphic`` runs the graph search on the two cached graphs and then
+the same check; the sweeps call it.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core_order import CoreOrder, _bits, cached_order
-from .decide import order_isomorphisms
+from .decide import IsoWitness, graphs_isomorphic_ordered
 from .hull import (
     HullIdempotent,
-    base_idem,
     dclass_rep,
     enumerate_idems,
     fmt_idem,
@@ -45,7 +44,6 @@ from .hull import (
     idem_product,
 )
 from .labelled_graph import cached_graph
-from .reference import covers_below
 from .shift import InvariantViolation, TransitionMatrix
 
 
@@ -182,11 +180,12 @@ def coherent_check(T: TransitionMatrix) -> bool:
                 return False
 
     # (2) interval closure over every diagonal triple with short middles
+    idems = enumerate_idems(T, 1)
     all_sidems = {
         make_sidem(order, u, g)
         for u in order.classes
-        for g in enumerate_idems(T, 1)
-        if idem_leq(g, base_idem(T, u))
+        for g in idems
+        if idem_leq(g, HullIdempotent((), u))
     }
     for f in all_sidems - cset:
         if any(sidem_leq(order, lo, f) for lo in cd.C) and any(
@@ -196,7 +195,7 @@ def coherent_check(T: TransitionMatrix) -> bool:
 
     # (3) products of incomparable covers of a representative land in C
     for v in order.classes:
-        covers = [make_sidem(order, v, g) for g in covers_below(T, v)]
+        covers = [make_sidem(order, v, g) for g in order.covers(v)]
         for f, g in combinations(covers, 2):
             if sidem_leq(order, f, g) or sidem_leq(order, g, f):
                 continue
@@ -211,34 +210,30 @@ def cd_isomorphic(cd1: CDSet, cd2: CDSet) -> "dict | None":
 
     The class bijection must be an order isomorphism and carry the guarded
     covers grouped by (outer class, D-class) onto matching groups; any such
-    data determines the map.  Those groups are the labels' groups of each
-    matrix's graph, so the search runs on the graphs' ``counted_order``.
-    The first such bijection decides: it always extends
-    (``_assemble_and_verify``), and the map is re-verified on the full
-    product table before being returned.
+    data determines the map.  The guarded covers are the labels of each
+    matrix's graph, so the search is the graph search
+    (``graphs_isomorphic_ordered``), and its witness is re-verified on the
+    full product table (``_assemble_and_verify``) before being returned.
     """
-    if len(cd1.order.classes) != len(cd2.order.classes) or len(cd1.Cll) != len(cd2.Cll):
-        return None
-    s1, s2 = cached_graph(cd1.matrix).counted_order, cached_graph(cd2.matrix).counted_order
-    sigma = next(order_isomorphisms(s1, s2), None)
-    return None if sigma is None else _assemble_and_verify(cd1, cd2, sigma)
+    w = graphs_isomorphic_ordered(cached_graph(cd1.matrix), cached_graph(cd2.matrix))
+    return None if w is None else _assemble_and_verify(cd1, cd2, w)
 
 
-def _assemble_and_verify(cd1: CDSet, cd2: CDSet, sigma: dict[int, int]) -> dict:
-    """The element map over a count-preserving order isomorphism sigma of
-    the classes, checked on D-classes and the full product table.  The
-    guarded covers go along the graphs' label groups, label (b, f) read as
-    [b, f, b].
+def _assemble_and_verify(cd1: CDSet, cd2: CDSet, w: IsoWitness) -> dict:
+    """The element map over a graph witness, checked on D-classes and the
+    full product table.  The class representatives follow the vertex map
+    sigma, and each guarded cover [b, f, b] follows the label map, label
+    (b, f) read as [b, f, b].
 
-    Such a sigma always extends.  The product rules of criterion 5 (C*C is
-    the representative of the meet, Cll*C is the cover or zero by the order,
+    Every witness extends.  The product rules of criterion 5 (C*C is the
+    representative of the meet, Cll*C is the cover or zero by the order,
     Cll*Cll is the cover or zero by equality) read only meets, the order
     and equality, and sigma keeps all three.  A failure is an
     ``InvariantViolation``.
     """
+    sigma = dict(w.vertex_map)
     pi: dict[SIdem, SIdem] = {x: cd2.C[cd2.order.index[sigma[x.u]]] for x in cd1.C}
-    s1, s2 = cached_graph(cd1.matrix).counted_order, cached_graph(cd2.matrix).counted_order
-    pi.update((SIdem(*a), SIdem(*b)) for a, b in s1.carry(s2, sigma).items())
+    pi.update((SIdem(*a), SIdem(*b)) for a, b in w.label_map)
     if len(set(pi.values())) != len(pi):
         raise InvariantViolation("an order isomorphism gave a non-injective CD map")
     for x in cd1.elements:
@@ -251,4 +246,4 @@ def _assemble_and_verify(cd1: CDSet, cd2: CDSet, sigma: dict[int, int]) -> dict:
                 raise InvariantViolation(
                     f"an order isomorphism broke the CD product {cd1.fmt(x)} * {cd1.fmt(y)}"
                 )
-    return {"classes": dict(sigma), "elements": pi}
+    return {"classes": sigma, "elements": pi}

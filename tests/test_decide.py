@@ -351,8 +351,9 @@ class TestEverySigmaExtends:
         for T1, T2 in pairs:
             G1, G2, cd1, cd2 = graphs[T1], graphs[T2], cds[T1], cds[T2]
             for sigma in order_isomorphisms(G1.counted_order, G2.counted_order):
-                assert verify_witness(G1, G2, _extend_witness(G1, G2, sigma))
-                _assemble_and_verify(cd1, cd2, sigma)
+                w = _extend_witness(G1, G2, sigma)
+                assert verify_witness(G1, G2, w)
+                _assemble_and_verify(cd1, cd2, w)
                 maps += 1
         assert maps == 4123
 
@@ -387,8 +388,7 @@ class TestFinisherFailures:
 
     def test_cross_checked_decide_searches_once(self, monkeypatch, diamond):
         """One search per cross-checked decide: the CD finisher takes the
-        graph witness's vertex map.  The engine is counted under both
-        module names it is reached by."""
+        graph witness.  One ``cd_isomorphic`` call runs the engine once too."""
         from shiftmorita import smorita
 
         calls = []
@@ -398,13 +398,14 @@ class TestFinisherFailures:
             return order_isomorphisms(s1, s2)
 
         monkeypatch.setattr(decide, "order_isomorphisms", counted)
-        monkeypatch.setattr(smorita, "order_isomorphisms", counted)
         other = permuted_copy(diamond, [2, 0, 1])
         plain = decide_morita(diamond, other)
         assert len(calls) == 1
         checked = decide_morita(diamond, other, cross_check=True)
         assert len(calls) == 2
         assert checked == plain
+        assert smorita.cd_isomorphic(build_cd(diamond), build_cd(other)) is not None
+        assert len(calls) == 3
 
     def test_cd_product_broken_on_one_side_exits_3(
         self, monkeypatch, tmp_path, capsys, diamond
@@ -638,6 +639,29 @@ class TestFourLetterCrossCheck:
                 assert (w is None) == (c is None)
 
 
+def modules_after(diamond, decision: str) -> set:
+    """The modules loaded in a fresh interpreter that builds the diamond's
+    graph and runs ``decision`` on it (T) and a relabelled copy (U), which
+    must be EQUIVALENT."""
+    U = permuted_copy(diamond, [2, 0, 1])
+    code = "; ".join([
+        "import json, sys, shiftmorita",
+        "from shiftmorita import decide_morita",
+        "from shiftmorita.shift import TransitionMatrix",
+        f"T = shiftmorita.parse_matrix({DIAMOND_TEXT!r})",
+        f"U = TransitionMatrix({U.symbols!r}, {U.rows!r})",
+        "shiftmorita.build_graph(T)",
+        f"assert {decision}.equivalent",
+        "print(json.dumps(sorted(sys.modules)))",
+    ])
+    src = str(Path(shiftmorita.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return set(json.loads(out))
+
+
 class TestProductionPath:
     def test_reference_covers_are_never_called(self, monkeypatch, diamond):
         """The graph, the CD and a cross-checked decide read their covers
@@ -665,27 +689,20 @@ class TestProductionPath:
             assert len(build_cd(T).Cll) == len(build_cd(U).Cll)
             assert decide_morita(T, U, cross_check=True).equivalent
 
+    def test_cross_checked_decision_loads_no_verification_module(self, diamond):
+        """A cross-checked decision loads ``smorita`` and none of the
+        verification modules."""
+        loaded = modules_after(diamond, "decide_morita(T, U, cross_check=True)")
+        assert "shiftmorita.smorita" in loaded
+        for name in ("reference", "lgis", "oracle", "sweeps"):
+            assert f"shiftmorita.{name}" not in loaded
+
     def test_decision_path_loads_no_reference_code(self, diamond):
         """A fresh interpreter builds a graph and decides the diamond against
         a relabelled copy, without cross-check, and loads none of the
         verification modules.  The production modules keep none of the
         names that moved to ``reference``."""
-        U = permuted_copy(diamond, [2, 0, 1])
-        code = "; ".join([
-            "import json, sys, shiftmorita",
-            "from shiftmorita.shift import TransitionMatrix",
-            f"T = shiftmorita.parse_matrix({DIAMOND_TEXT!r})",
-            f"U = TransitionMatrix({U.symbols!r}, {U.rows!r})",
-            "shiftmorita.build_graph(T)",
-            "assert shiftmorita.decide_morita(T, U).equivalent",
-            "print(json.dumps(sorted(sys.modules)))",
-        ])
-        src = str(Path(shiftmorita.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, check=True,
-        ).stdout
-        loaded = set(json.loads(out))
+        loaded = modules_after(diamond, "decide_morita(T, U)")
         assert "shiftmorita.decide" in loaded
         for name in ("reference", "lgis", "oracle", "sweeps", "smorita"):
             assert f"shiftmorita.{name}" not in loaded

@@ -1,8 +1,17 @@
+import re
+
 import pytest
 
 from shiftmorita.core_order import cached_order
 from shiftmorita.hull import dclass_rep, make_idem
-from shiftmorita.labelled_graph import Edge, Label, LabelledGraph, build_graph, to_dot
+from shiftmorita.labelled_graph import (
+    Edge,
+    Label,
+    LabelledGraph,
+    build_graph,
+    fmt_label,
+    to_dot,
+)
 from shiftmorita.reference import covers_below
 from shiftmorita.sweeps import all_matrices
 
@@ -198,6 +207,23 @@ class TestSharedGraph:
             diamond_graph.label_names[lab] = "β"
 
 
+DIAMOND_DOT = """digraph hull {
+  "{b}";
+  "{a,b}";
+  "{b,c}";
+  "{a,b,c}";
+  "{b}" -> "{b}" [label="α=({b},(b,{b,c}))"];
+  "{b,c}" -> "{b}" [label="α=({b},(b,{b,c}))"];
+  "{b}" -> "{a,b}" [label="β=({a,b},(a,{a,b}))"];
+  "{a,b}" -> "{a,b}" [label="β=({a,b},(a,{a,b}))"];
+  "{b}" -> "{b,c}" [label="γ=({b,c},(c,{a,b,c}))"];
+  "{a,b}" -> "{b,c}" [label="γ=({b,c},(c,{a,b,c}))"];
+  "{b,c}" -> "{b,c}" [label="γ=({b,c},(c,{a,b,c}))"];
+  "{a,b,c}" -> "{b,c}" [label="γ=({b,c},(c,{a,b,c}))"];
+}
+"""
+
+
 class TestDot:
     def test_deterministic(self, diamond):
         assert to_dot(build_graph(diamond)) == to_dot(build_graph(diamond))
@@ -207,6 +233,31 @@ class TestDot:
         assert dot.count("->") == 8
         assert dot.startswith("digraph hull {")
         assert dot.count('";') == 4
+
+    def test_diamond_text(self, diamond_graph):
+        assert to_dot(diamond_graph) == DIAMOND_DOT
+
+    def test_quotes_in_symbols_are_escaped(self):
+        """Read back by DOT's rule (a backslash-quote is a quote, every
+        other character is literal), each quoted string is the vertex name
+        or the label text it was written from."""
+        T = mx('a" b\\\n11\n01')
+        G = build_graph(T)
+        read = []
+        for line in to_dot(G).splitlines()[1:-1]:
+            quoted = re.findall(r'"((?:\\"|[^"])*)"', line)
+            read.append([q.replace('\\"', '"') for q in quoted])
+        names = G.vertex_name
+        assert read[: len(G.vertices)] == [[names(v)] for v in G.vertices]
+        assert read[len(G.vertices):] == [
+            [
+                names(e.source),
+                names(e.range),
+                f"{G.label_names[e.label]}={fmt_label(T, e.label)}",
+            ]
+            for e in G.edges
+        ]
+        assert any('"' in name for q in read for name in q)
 
     def test_single_loop(self):
         dot = to_dot(build_graph(mx("a\n1")))

@@ -8,7 +8,6 @@ from shiftmorita.shift import (
     f_classes,
     natural_leq,
     parse_matrix,
-    parse_word,
     word_allowed,
 )
 from shiftmorita.sweeps import all_matrices
@@ -95,6 +94,12 @@ class TestParse:
     def test_whitespace_in_rows_ignored(self, diamond):
         assert parse_matrix("a b c\n1 1 0\n0 1 1\n1 1 1") == diamond
 
+    @pytest.mark.parametrize("space", ["\xa0", "\u3000"])
+    def test_rows_ignore_what_the_header_splits_on(self, diamond, space):
+        """Rows drop every whitespace character, as the header's split does."""
+        text = f"a{space}b c\n1{space}10\n01{space}1\n111"
+        assert parse_matrix(text) == diamond
+
     @given(matrices())
     def test_format_roundtrip(self, T):
         text = " ".join(T.symbols) + "\n" + "\n".join(
@@ -125,29 +130,19 @@ class TestParse:
 
 class TestWords:
     def test_ab_allowed(self, diamond):
-        assert word_allowed(diamond, "ab")
+        assert word_allowed(diamond, (0, 1))
 
     def test_ac_not_allowed(self, diamond):
-        assert not word_allowed(diamond, "ac")
+        assert not word_allowed(diamond, (0, 2))
 
     def test_empty_word_allowed(self, diamond):
-        assert word_allowed(diamond, "")
-
-    def test_unknown_letter(self, diamond):
-        with pytest.raises(ValueError, match="unknown letter"):
-            word_allowed(diamond, "az")
-
-    def test_parse_word(self, diamond):
-        assert parse_word(diamond, "cab") == (2, 0, 1)
+        assert word_allowed(diamond, ())
 
     def test_string_word_over_multi_character_symbols_refused(self):
-        # "a1b1" could be a1.b1 or letters a, 1, b, 1: neither is guessed
+        # "a1b1" could be a1.b1 or letters a, 1, b, 1: words are tuples of
+        # letter indices, so no string is read
         T = TransitionMatrix(("a1", "b1"), (0b11, 0b01))
-        with pytest.raises(ValueError, match="single-character symbols"):
-            parse_word(T, "a1b1")
-        with pytest.raises(ValueError, match="single-character symbols"):
-            word_allowed(T, "a1")
-        assert word_allowed(T, (0, 1)) and not word_allowed(T, [1, 1])
+        assert word_allowed(T, (0, 1)) and not word_allowed(T, (1, 1))
 
     def test_allowed_words_depth2(self, diamond):
         words = allowed_words(diamond, 2)
