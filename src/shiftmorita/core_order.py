@@ -11,7 +11,10 @@ graph, and it carries a meet with e_{a^b} = e_a AND e_b whenever nonzero.
 int bitsets (the depth-0 cores as least fixpoints, Warshall's closure), and
 its ``CoreOrder`` keeps those bitsets: meets, Hasse covers and the covers
 of each class representative are read off them, and the pair and core sets
-are derived on first use.  Antisymmetry is checked as triangularity (see
+are derived on first use.  The maximal proper subclasses (``maxsub``, from
+the subset relation) and the Hasse covers (``CoreOrder.hasse``, from the
+down-sets) are one transitive reduction, ``_maximal_below``, of two
+relations.  Antisymmetry is checked as triangularity (see
 ``build_order``).  The set-up costs
 O(k·n) big-int operations for k classes and n letters, from one bitset per
 letter.  At depth 0, rule (4) adds nothing once rules (2) and (3) are
@@ -31,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .hull import HullIdempotent
-from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, f_classes
+from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, _bits, f_classes
 
 
 @dataclass(frozen=True)
@@ -81,14 +84,8 @@ class CoreOrder:
         return tuple(self.classes[j] for j in _bits(self.down[self.index[v]]))
 
     def hasse(self) -> tuple[tuple[int, int], ...]:
-        covers = []
-        for b, db in enumerate(self.down):
-            strict = db & ~(1 << b)
-            lower = 0
-            for c in _bits(strict):
-                lower |= self.down[c] & ~(1 << c)
-            covers.extend((a, b) for a in _bits(strict & ~lower))
-        return tuple((self.classes[a], self.classes[b]) for a, b in sorted(covers))
+        covers = sorted((a, b) for b, m in enumerate(_maximal_below(self.down)) for a in _bits(m))
+        return tuple((self.classes[a], self.classes[b]) for a, b in covers)
 
     def covers(self, v: int) -> tuple[HullIdempotent, ...]:
         """``reference.covers_below(T, v)`` read off the bitsets: ((), u) for each
@@ -172,12 +169,17 @@ class CountedOrder:
         return {x: y for k, g in image.items() for x, y in zip(g, other.groups[k])}
 
 
-def _bits(x: int):
-    """Indices of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _maximal_below(rel: Sequence[int]) -> list[int]:
+    """The transitive reduction of a reflexive, transitive bitset relation:
+    for each i, the maximal members of ``rel[i]`` other than i."""
+    strict = [r & ~(1 << i) for i, r in enumerate(rel)]
+    out = []
+    for s in strict:
+        lower = 0
+        for j in _bits(s):
+            lower |= strict[j]
+        out.append(s & ~lower)
+    return out
 
 
 def build_order(T: TransitionMatrix) -> CoreOrder:
@@ -223,14 +225,7 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
         sub.append(below)
         sup.append(above)
         inc.append(meets & ~below & ~above)
-    # maxsub[i]: maximal proper subclasses of i
-    maxsub = []
-    for i in range(k):
-        proper = sub[i] & ~(1 << i)
-        lower = 0
-        for j in _bits(proper):
-            lower |= sub[j] & ~(1 << j)
-        maxsub.append(proper & ~lower)
+    maxsub = _maximal_below(sub)  # maximal proper subclasses
 
     down = [0] * k
     core_bits = []

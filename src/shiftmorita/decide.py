@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core_order import CountedOrder, _bits
+from .core_order import CountedOrder
 # build_graph stays a module attribute here, where bench/spans.py wraps it
 from .labelled_graph import Edge, Label, LabelledGraph, build_graph, cached_graph
-from .shift import InvariantViolation, TransitionMatrix
+from .shift import InvariantViolation, TransitionMatrix, _bits
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core_order import CoreOrder, CountedOrder, _bits, cached_order
+from .core_order import CoreOrder, CountedOrder, cached_order
 from .hull import HullIdempotent, dclass_rep, fmt_idem
-from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix
+from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, _bits
 
 GREEK = "αβγδζηθικλμνξπρστυφχψω"
 

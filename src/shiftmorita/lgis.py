@@ -10,10 +10,12 @@ of the final letter, so everything reduces to vertex-order lookups.
 
 ``LgisEngine`` is the element algebra, one product at a time, and the
 reference the tests check every table cell against.  It derives once which
-labels may follow each label, and its paths, elements and counts read
-that relation; its block forms give Green's D and the natural order over a
-whole element list, and the axiom suite reads Green's R and L off the
-paths and middles.  The axiom suite needs every product among thousands
+labels may follow each label; its paths are the walks along that relation
+(``shift.walks``), and its element count sums the per-length, per-last-label
+walk counts of ``shift.walk_ends``, so neither runs a level loop of its own.
+Its block forms give Green's D and the natural order over a whole element
+list, and the axiom suite reads Green's R and L off the paths and middles.
+The axiom suite needs every product among thousands
 of elements, so ``ProductTables`` fills its tables by path-pair gathers:
 a product depends on the two inner paths only through their prefix case
 and tail, computed once per path pair, and the middle vertex comes from
@@ -28,9 +30,8 @@ from math import isqrt
 from typing import Sequence
 
 from . import reference
-from .core_order import _bits
 from .labelled_graph import LabelledGraph
-from .shift import InvariantViolation
+from .shift import InvariantViolation, _bits, walk_ends, walks
 
 Path = tuple[int, ...]  # label indices in the owning engine
 Element = "tuple[Path, int, Path] | None"  # (alpha, A-vertex, beta); None is zero
@@ -55,15 +56,9 @@ class LgisEngine:
     # ----- paths -------------------------------------------------------
 
     def paths(self, maxlen: int) -> list[Path]:
-        """Every labelled path of length <= maxlen in (length, path) order,
-        by induction: level 1 ascends, and so does each level made from an
-        ascending one by the ascending ``follow`` of each last label."""
-        out: list[Path] = [()]
-        level: list[Path] = [(i,) for i in range(self.nlabels)]
-        for _ in range(maxlen):
-            out.extend(level)
-            level = [p + (j,) for p in level for j in _bits(self.follow[p[-1]])]
-        return out
+        """Every labelled path of length <= maxlen in (length, path) order:
+        the empty path, then the walks along ``follow``."""
+        return [(), *walks(self.follow, maxlen)]
 
     def relative_source(self, A: "int | None", p: Path) -> "int | None":
         """s(B_A, p) as a vertex (None is the empty set, below nothing)."""
@@ -176,20 +171,18 @@ class LgisEngine:
 
     def count_elements(self, maxlen: int) -> int:
         """``len(enumerate_elements(maxlen))`` without listing a path: the
-        paths are counted level by level per last label, and summed per
-        cap; each pair of caps gives count * count * |cap ∩ cap| elements.
-        The count stops at the first level whose running total passes
-        isqrt(``MAX_TABLE_CELLS``), the most elements whose product table
-        fits, so a count above that may fall short of the full one."""
-        labels = range(self.nlabels)
-        ends, caps = [1] * self.nlabels, Counter({self._cap_down(()): 1})
+        paths are counted level by level per last label (``walk_ends``), and
+        summed per cap; each pair of caps gives count * count * |cap ∩ cap|
+        elements.  The count stops at the first level whose running total
+        passes isqrt(``MAX_TABLE_CELLS``), the most elements whose product
+        table fits, so a count above that may fall short of the full one."""
+        caps = Counter({self._cap_down(()): 1})
         total = 1 + len(self.order.classes)
-        for _ in range(maxlen):
+        for ends in walk_ends(self.follow, maxlen):
             if total > isqrt(MAX_TABLE_CELLS):
                 break
             for j, n in enumerate(ends):
                 caps[self._cap_down((j,))] += n
-            ends = [sum(n for n, f in zip(ends, self.follow) if f >> j & 1) for j in labels]
             total = 1 + sum(
                 m * n * (a & b).bit_count() for a, m in caps.items() for b, n in caps.items()
             )

@@ -8,13 +8,16 @@ word beyond length N drop it from the graph; equality of truncated maps is
 only ever asserted between maps built at the same depth.
 
 This module is the validation side of the hull: the canonical-form algebra
-in ``hull`` is checked against it, never the other way round.
+in ``hull`` is checked against it, never the other way round.  The words are
+``shift.allowed_words``, and ``Oracle.word_count`` counts them from
+``shift.walk_ends`` without listing one, so that a depth too large is
+refused before any word is built.
 """
 
 from __future__ import annotations
 
 from .hull import HullIdempotent, fclass_witness
-from .shift import TransitionMatrix, Word, allowed_words
+from .shift import TransitionMatrix, Word, allowed_words, walk_ends
 
 # A generator token: (letter index, +1) is theta_a, (letter index, -1) its
 # inverse.  A generator word [g1, g2, ..., gk] denotes g1 o g2 o ... o gk,
@@ -60,17 +63,14 @@ class Oracle:
     @staticmethod
     def word_count(T: TransitionMatrix, depth: int) -> int:
         """``len(allowed_words(T, depth))``, counted length by length per
-        last letter without listing a word.  The count stops at the first
-        length whose running total passes ``MAX_WORDS``, so a count above
-        that may fall short of the full one."""
-        ends, total = [1] * T.n, 0
-        for _ in range(depth):
+        last letter (``walk_ends``) without listing a word.  The count stops
+        at the first length whose running total passes ``MAX_WORDS``, so a
+        count above that may fall short of the full one."""
+        total = 0
+        for ends in walk_ends(T.rows, depth):
             if total > Oracle.MAX_WORDS:
                 break
             total += sum(ends)
-            ends = [
-                sum(n for a, n in enumerate(ends) if T.rows[a] >> b & 1) for b in range(T.n)
-            ]
         return total
 
     def theta(self, a: int) -> PartialMap:

@@ -6,13 +6,22 @@ vectors (bitmasks over the alphabet) are the workhorse encoding everywhere
 downstream: the idempotent generated by letters a1..ak acts as the identity
 on the words whose first letter lies in row(a1) & ... & row(ak), so the
 nonzero AND-closure of the rows indexes the nonzero D-classes.
+
+Both semigroups rest on walks in a successor relation, given as one bitset
+per step of the steps that may follow it: allowed words walk the rows, and
+the labelled graph's paths walk its label-follow relation.  ``walks``
+lists them and ``walk_ends`` counts them per length and last step without
+listing any; ``allowed_words``, ``Oracle.word_count`` and the path lister
+and element count of ``lgis.LgisEngine`` all read these two.  ``_bits``,
+the set-bit iterator that the other modules import, lives here, in the
+base module, so that ``walks`` can use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -183,18 +192,38 @@ def natural_leq(v1: int, v2: int) -> bool:
     return v1 & v2 == v1
 
 
-def allowed_words(T: TransitionMatrix, maxlen: int) -> list[Word]:
-    """All allowed words of length 1..maxlen, shortest first."""
-    out: list[Word] = []
-    level: list[Word] = [(a,) for a in range(T.n)]
-    for _ in range(maxlen):
-        if not level:
-            break
-        out.extend(level)
-        level = [
-            w + (b,)
-            for w in level
-            for b in range(T.n)
-            if T.rows[w[-1]] >> b & 1
-        ]
+def _bits(x: int):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def walks(succ: Sequence[int], maxlen: int) -> list[tuple[int, ...]]:
+    """Every walk of 1..maxlen steps, shortest first and each length in
+    lexicographic order, where ``succ[a]`` is the bitset of the steps that
+    may follow step a.  Level 1 ascends, and so does each level made from an
+    ascending one by the ascending successors of each last step."""
+    out: list[tuple[int, ...]] = []
+    level = [(a,) for a in range(len(succ))]
+    while level and len(level[0]) <= maxlen:
+        out += level
+        level = [w + (b,) for w in level if len(w) < maxlen for b in _bits(succ[w[-1]])]
     return out
+
+
+def walk_ends(succ: Sequence[int], maxlen: int) -> Iterator[list[int]]:
+    """For each length 1..maxlen in turn, how many walks of that length end
+    at each step (``succ`` as in ``walks``), without listing any walk; a
+    caller may stop early."""
+    ends = [1] * len(succ)
+    for _ in range(maxlen):
+        yield ends
+        ends = [sum(n for n, s in zip(ends, succ) if s >> b & 1) for b in range(len(succ))]
+
+
+def allowed_words(T: TransitionMatrix, maxlen: int) -> list[Word]:
+    """All allowed words of length 1..maxlen, shortest first: the walks
+    along the rows."""
+    return walks(T.rows, maxlen)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core_order import CoreOrder, _bits, cached_order
+from .core_order import CoreOrder, cached_order
 from .decide import IsoWitness, graphs_isomorphic_ordered
 from .hull import (
     HullIdempotent,
@@ -44,7 +44,7 @@ from .hull import (
     idem_product,
 )
 from .labelled_graph import cached_graph
-from .shift import InvariantViolation, TransitionMatrix
+from .shift import InvariantViolation, TransitionMatrix, _bits
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@ import random
 import string
 
 import pytest
+from hypothesis import assume, strategies as st
 
-from shiftmorita.shift import TransitionMatrix, parse_matrix
+from shiftmorita.shift import TransitionMatrix, f_classes, parse_matrix
 
 DIAMOND_TEXT = "a b c\n110\n011\n111"
 
@@ -47,3 +48,41 @@ def seeded_matrices(
                 symbols = tuple(string.ascii_lowercase[:n])
                 out.append(TransitionMatrix(symbols, tuple(rows)))
     return out
+
+
+@st.composite
+def relabelled_matrices(draw, max_classes=40):
+    """A 4-6-letter matrix with at most ``max_classes`` classes and a
+    permutation of its letters.  The first k rows are those of the J-I
+    family, the full mask less the row's own letter, which give it its
+    2^k - 2 classes; the others are any nonzero masks."""
+    n = draw(st.integers(4, 6))
+    k = draw(st.integers(0, n))
+    full = (1 << n) - 1
+    rest = draw(st.lists(st.integers(1, full), min_size=n - k, max_size=n - k))
+    rows = tuple(full & ~(1 << i) for i in range(k)) + tuple(rest)
+    T = TransitionMatrix(tuple("abcdef"[:n]), rows)
+    assume(len(f_classes(T)) <= max_classes)
+    return T, list(draw(st.permutations(range(n))))
+
+
+def reference_build_graph(T):
+    """The graph by the rule as stated: every cover of each vertex's
+    representative (``covers_below``), less the F-type ones whose class is
+    below the vertex, each with one edge from every vertex at or below the
+    cover's class (``CoreOrder.below``)."""
+    from shiftmorita.core_order import cached_order
+    from shiftmorita.hull import dclass_rep
+    from shiftmorita.labelled_graph import Edge, Label, LabelledGraph
+    from shiftmorita.reference import covers_below
+
+    order = cached_order(T)
+    labels, edges = [], []
+    for a in order.classes:
+        for f in covers_below(T, a):
+            if not f.word and order.leq(f.vec, a):
+                continue
+            lab = Label(a, f)
+            labels.append(lab)
+            edges.extend(Edge(a, lab, b) for b in order.below(dclass_rep(f)))
+    return LabelledGraph(T, order, tuple(labels), tuple(edges))

@@ -10,7 +10,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings
 
 import shiftmorita
 from shiftmorita import decide
@@ -32,11 +32,11 @@ from shiftmorita.labelled_graph import (
     cached_graph,
 )
 from shiftmorita.reference import brute_force_isomorphic
-from shiftmorita.shift import InvariantViolation, TransitionMatrix, f_classes
+from shiftmorita.shift import InvariantViolation, TransitionMatrix
 from shiftmorita.smorita import _assemble_and_verify, build_cd, cd_isomorphic
 from shiftmorita.sweeps import all_matrices, permuted_copy
 
-from conftest import DIAMOND_TEXT, mx
+from conftest import DIAMOND_TEXT, mx, relabelled_matrices
 
 
 def reference_verify_witness(G1, G2, w):
@@ -487,22 +487,6 @@ class TestDecide:
             build_graph(permuted_copy(diamond, [2, 0, 1])),
             v.witness,
         )
-
-
-@st.composite
-def relabelled_matrices(draw, max_classes=40):
-    """A 4-6-letter matrix with at most ``max_classes`` classes and a
-    permutation of its letters.  The first k rows are those of the J-I
-    family, the full mask less the row's own letter, which give it its
-    2^k - 2 classes; the others are any nonzero masks."""
-    n = draw(st.integers(4, 6))
-    k = draw(st.integers(0, n))
-    full = (1 << n) - 1
-    rest = draw(st.lists(st.integers(1, full), min_size=n - k, max_size=n - k))
-    rows = tuple(full & ~(1 << i) for i in range(k)) + tuple(rest)
-    T = TransitionMatrix(tuple("abcdef"[:n]), rows)
-    assume(len(f_classes(T)) <= max_classes)
-    return T, list(draw(st.permutations(range(n))))
 
 
 class TestRelabelledPastThreeLetters:

@@ -1,21 +1,17 @@
 import re
 
 import pytest
+from hypothesis import given, settings
 
 from shiftmorita.core_order import cached_order
 from shiftmorita.hull import dclass_rep, make_idem
-from shiftmorita.labelled_graph import (
-    Edge,
-    Label,
-    LabelledGraph,
-    build_graph,
-    fmt_label,
-    to_dot,
-)
+from shiftmorita.labelled_graph import LabelledGraph, build_graph, fmt_label, to_dot
+from shiftmorita.oracle import Oracle
 from shiftmorita.reference import covers_below
+from shiftmorita.shift import allowed_words
 from shiftmorita.sweeps import all_matrices
 
-from conftest import mx, seeded_matrices
+from conftest import mx, reference_build_graph, relabelled_matrices, seeded_matrices
 
 
 def classes_by_name(diamond):
@@ -152,23 +148,6 @@ class TestBuildOrder:
             assert edge_keys == sorted(set(edge_keys)), T.rows
 
 
-def reference_build_graph(T):
-    """The graph by the rule as stated: every cover of each vertex's
-    representative (``covers_below``), less the F-type ones whose class is
-    below the vertex, each with one edge from every vertex at or below the
-    cover's class (``CoreOrder.below``)."""
-    order = cached_order(T)
-    labels, edges = [], []
-    for a in order.classes:
-        for f in covers_below(T, a):
-            if not f.word and order.leq(f.vec, a):
-                continue
-            lab = Label(a, f)
-            labels.append(lab)
-            edges.extend(Edge(a, lab, b) for b in order.below(dclass_rep(f)))
-    return LabelledGraph(T, order, tuple(labels), tuple(edges))
-
-
 class TestBitsetLabelCovers:
     def test_matches_the_covers_and_filter_reference(self):
         """Labels and edges, in order, equal those of the reference on every
@@ -177,6 +156,18 @@ class TestBitsetLabelCovers:
             G, R = build_graph(T), reference_build_graph(T)
             assert G.labels == R.labels, T.rows
             assert G.edges == R.edges, T.rows
+
+    @settings(max_examples=150, deadline=None)
+    @given(relabelled_matrices())
+    def test_matches_the_references_past_three_letters(self, case):
+        """On 4-6-letter matrices with at most 40 classes, the graph equals
+        the covers-and-filter reference, labels and edges in order, and the
+        oracle's word count equals the number of listed words."""
+        T, _ = case
+        G, R = build_graph(T), reference_build_graph(T)
+        assert G.labels == R.labels and G.edges == R.edges
+        for depth in range(1, 5):
+            assert Oracle.word_count(T, depth) == len(allowed_words(T, depth))
 
 
 class TestValueTypes:

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,8 @@ from shiftmorita.shift import (
     f_classes,
     natural_leq,
     parse_matrix,
+    walk_ends,
+    walks,
     word_allowed,
 )
 from shiftmorita.sweeps import all_matrices
@@ -159,6 +164,45 @@ class TestWords:
         # single-character alphabets print as before
         assert diamond.fmt_word((2, 0, 1)) == "cab"
         assert diamond.fmt_word(()) == "ε"
+
+
+def successor_tables(seed=23, count=200):
+    """Seeded successor bitsets over 1-5 steps; about one row in four is
+    forced to zero, a dead end that a label-follow table may hold and a
+    matrix may not."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        yield [0 if rng.random() < 0.25 else rng.getrandbits(n) for _ in range(n)]
+
+
+def brute_force_walks(succ, maxlen):
+    """Every step tuple of length 1..maxlen whose consecutive steps are
+    allowed, sorted by (length, tuple)."""
+    found = [
+        w
+        for k in range(1, maxlen + 1)
+        for w in product(range(len(succ)), repeat=k)
+        if all(succ[a] >> b & 1 for a, b in zip(w, w[1:]))
+    ]
+    return sorted(found, key=lambda w: (len(w), w))
+
+
+class TestWalks:
+    def test_walks_and_their_end_counts_match_brute_force(self):
+        for succ in successor_tables():
+            for m in range(5):
+                expected = brute_force_walks(succ, m)
+                assert walks(succ, m) == expected, (succ, m)
+                ends = [
+                    [sum(len(w) == k and w[-1] == b for w in expected) for b in range(len(succ))]
+                    for k in range(1, m + 1)
+                ]
+                assert list(walk_ends(succ, m)) == ends, (succ, m)
+
+    def test_allowed_words_are_the_walks_along_the_rows(self, diamond):
+        assert allowed_words(diamond, 4) == walks(diamond.rows, 4)
+        assert allowed_words(diamond, 4) == brute_force_walks(diamond.rows, 4)
 
 
 class TestMatrixShape:
