@@ -93,10 +93,12 @@ class Oracle:
         return cur
 
     def _word_maps(self, word: Word) -> tuple[PartialMap, PartialMap]:
-        """(theta_word, theta_word^-1) as honest compositions, cached."""
+        """(theta_word, theta_word^-1) as honest compositions, cached.
+
+        The word is never empty: ``idem_map`` returns before calling this on
+        an empty word, and the recursion passes ``word[:-1]`` only when the
+        word has two or more letters."""
         if word not in self._prefix_cache:
-            if not word:
-                raise KeyError("empty word has no generator map")
             if len(word) == 1:
                 pair = (self._theta[word[0]], self._theta_inv[word[0]])
             else:

@@ -30,8 +30,8 @@ the same check; the sweeps call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .core_order import CoreOrder, cached_order
 from .decide import IsoWitness, graphs_isomorphic_ordered
@@ -47,9 +47,9 @@ from .labelled_graph import cached_graph
 from .shift import InvariantViolation, TransitionMatrix, _bits
 
 
-@dataclass(frozen=True)
-class SIdem:
-    """Canonical form of a diagonal triple [u, g, u]; zero is None."""
+class SIdem(NamedTuple):
+    """Canonical form of a diagonal triple [u, g, u]; zero is None.  A
+    named tuple, built, hashed and ordered as the plain tuple (u, g)."""
 
     u: int
     g: HullIdempotent
@@ -167,7 +167,16 @@ def build_cd(T: TransitionMatrix) -> CDSet:
 def coherent_check(T: TransitionMatrix) -> bool:
     """Verify that the class representatives form a coherent set: closed
     under products, interval-closed, and absorbing products of incomparable
-    covers."""
+    covers.
+
+    The covers of a representative need no comparability test: no two are
+    comparable.  ``order.covers(v)`` gives ((), u) for each maximal proper
+    subclass u of v, and these are incomparable subsets.  It gives
+    ((b,), row b) for each letter b of v in no proper subclass; two of
+    these have different words and a zero product, and one lies below
+    ((), u) only when b is in u.  A one-letter word never lies above the
+    empty word.  ``sidem_leq`` compares the middles by ``idem_leq`` first,
+    so no two of the triples over them are comparable either."""
     order = cached_order(T)
     cd = CDSet(T)
     cset = set(cd.C)
@@ -193,12 +202,10 @@ def coherent_check(T: TransitionMatrix) -> bool:
         ):
             return False
 
-    # (3) products of incomparable covers of a representative land in C
+    # (3) products of (incomparable) covers of a representative land in C
     for v in order.classes:
         covers = [make_sidem(order, v, g) for g in order.covers(v)]
         for f, g in combinations(covers, 2):
-            if sidem_leq(order, f, g) or sidem_leq(order, g, f):
-                continue
             p = sidem_product(order, f, g)
             if p is not None and p not in cset:
                 return False

@@ -5,6 +5,14 @@ Everything here enumerates all transition matrices up to a small alphabet
 order, the graph and the decision procedure against their independent
 oracles.  The acceptance tests and the ``selftest`` command both run these;
 a returned failure list is empty on success.
+
+Each fact is checked once.  In ``sweep_order``, the meet identity
+(``reference.check_meet_identity``), with reflexivity and transitivity,
+implies antisymmetry and that the meet is commutative, idempotent and
+associative, and the reference cores imply that each core is closed under
+AND and subset intervals; its docstring has the proofs.  The failures of
+``sweep_order`` and ``sweep_cd`` name the stage, the matrix rows and the
+invariant.
 """
 
 from __future__ import annotations
@@ -101,64 +109,58 @@ def oracle_failures(T: TransitionMatrix, oracle: Oracle) -> list[str]:
 
 
 def sweep_order(T: TransitionMatrix) -> list[str]:
-    """Criterion: order structure, meets, and the representative-product
-    identity; also that the reference core fixpoint gives the order's cores
-    in either rule order, and the reference covering relation its covers."""
+    """Criterion: the class order against its references, one check per
+    fact.  Each class's covers equal ``reference.covers_below``, and its
+    core equals ``reference.core_of_at`` in either rule order.  The order
+    is reflexive and transitive and lies inside the natural order.  Its
+    meet passes ``reference.check_meet_identity``: when a and b have a
+    common lower bound, ``meet(a, b)`` is their one greatest common lower
+    bound and equals ``a & b``; otherwise it is None, and ``a & b`` is
+    zero when they have a common upper bound.
+
+    These checks imply the laws that are not checked on their own:
+    - Antisymmetry.  If a <= b <= a with a != b, then by reflexivity and
+      transitivity a and b have the same down-set, so both are greatest
+      common lower bounds of a and b.  The meet check's list of those then
+      has two entries, and it fails.  (``build_order`` also raises on
+      such a cycle.)
+    - The meet is commutative: the meet check's conditions are symmetric
+      in a and b.
+    - It is idempotent: a is below a, so the meet check forces
+      ``meet(a, a) == a & a``.
+    - It is associative.  Each meet m = a^b is the greatest lower bound,
+      so by transitivity x <= m exactly when x <= a and x <= b.  So both
+      sides of (a^b)^c = a^(b^c) are the greatest common lower bound of
+      a, b and c, or None when those have none.
+    - Each core is closed under AND and under subset intervals.  At depth
+      0 these are rules (2) and (4), and the reference core stops only
+      when no rule adds a member.
+
+    Each failure names the stage, the matrix rows and the invariant.
+    """
     fails: list[str] = []
     order = cached_order(T)
+
+    def fail(stage: str, invariant: str) -> None:
+        fails.append(f"{stage} on rows {T.rows}: {invariant}")
+
     for v in order.classes:
+        name = T.fmt_vec(v)
         if order.covers(v) != covers_below(T, v):
-            fails.append(
-                f"covers of {T.fmt_vec(v)} differ from the reference on rows {T.rows}"
-            )
-        for rule_order in ((4, 3, 2), (2, 3, 4)):
-            ref = {e.vec for e in core_of_at(T, (), v, rule_order)}
-            if ref != order.cores[v]:
-                fails.append(
-                    f"core of {T.fmt_vec(v)} differs from the reference "
-                    f"in rule order {rule_order}"
-                )
-    cls = order.classes
+            fail("covers", f"covers of {name} differ from the reference")
+        for rules in ((4, 3, 2), (2, 3, 4)):
+            if {e.vec for e in core_of_at(T, (), v, rules)} != order.cores[v]:
+                fail("cores", f"core of {name} differs from the reference in rule order {rules}")
+        if (v, v) not in order.pairs:
+            fail("order", f"not reflexive at {name}")
     for a, b in order.pairs:
         if not natural_leq(a, b):
-            fails.append(f"class order exceeds natural order: {T.fmt_vec(a)}")
-        if (b, a) in order.pairs and a != b:
-            fails.append("antisymmetry failure")
+            fail("order", f"{T.fmt_vec(a)} below {T.fmt_vec(b)} exceeds the natural order")
         for c, d in order.pairs:
             if b == c and (a, d) not in order.pairs:
-                fails.append("transitivity failure")
-    if any((v, v) not in order.pairs for v in cls):
-        fails.append("reflexivity failure")
-    for a in cls:
-        for b in cls:
-            m = order.meet(a, b)
-            if m != order.meet(b, a):
-                fails.append("meet not commutative")
-            if order.meet(a, a) != a:
-                fails.append("meet not idempotent")
-            for c in cls:
-                lhs = order.meet(a, b)
-                lhs = None if lhs is None else order.meet(lhs, c)
-                rhs = order.meet(b, c)
-                rhs = None if rhs is None else order.meet(a, rhs)
-                if lhs != rhs:
-                    fails.append("meet not associative")
+                fail("order", f"not transitive: {T.fmt_vec(a)} < {T.fmt_vec(b)} < {T.fmt_vec(d)}")
     if not check_meet_identity(T, order):
-        fails.append("representative-product identity failed")
-    for v in cls:
-        core = order.cores[v]
-        for u1 in core:
-            for u2 in core:
-                if u1 & u2 and (u1 & u2) not in core:
-                    fails.append("core not AND-closed")
-                for u3 in f_classes(T):
-                    if (
-                        u3 not in core
-                        and natural_leq(u1, u3)
-                        and natural_leq(u3, u2)
-                        and u1 != u3 != u2
-                    ):
-                        fails.append("core not interval-closed")
+        fail("meets", "a meet is not the greatest lower bound or not the AND class")
     return fails
 
 
@@ -193,35 +195,37 @@ def sweep_lgis(T: TransitionMatrix) -> list[str]:
 
 def sweep_cd(T: TransitionMatrix) -> list[str]:
     """Criterion: coherence, the guarded covers in canonical form, the CD
-    product case rules, and primitivity."""
+    product case rules, and primitivity.  Each failure names the stage,
+    the matrix rows and the invariant."""
     fails: list[str] = []
     if not coherent_check(T):
-        fails.append("coherent_check failed")
+        fails.append(f"coherence on rows {T.rows}: coherent_check failed")
     cd = build_cd(T)
     order = cd.order
+    where = f"CD on rows {T.rows}"
     bad = [x for x in cd.Cll if make_sidem(order, x.u, x.g) != x]
     if bad:  # CDSet.product's closure check would raise on these first
-        return fails + [f"guarded cover not in canonical form: {cd.fmt(x)}" for x in bad]
+        return fails + [f"{where}: guarded cover not in canonical form: {cd.fmt(x)}" for x in bad]
     for x in cd.C:
         for y in cd.C:
             p = cd.product(x, y)
             m = order.meet(x.u, y.u)
             want = None if m is None else cd.C[order.index[m]]
             if p != want:
-                fails.append(f"C*C rule failed: {cd.fmt(x)} {cd.fmt(y)}")
+                fails.append(f"{where}: C*C rule failed: {cd.fmt(x)} {cd.fmt(y)}")
     for x in cd.Cll:
         for y in cd.C:
             want = x if order.leq(x.u, y.u) else None
             if cd.product(x, y) != want or cd.product(y, x) != want:
-                fails.append(f"Cll*C rule failed: {cd.fmt(x)} {cd.fmt(y)}")
+                fails.append(f"{where}: Cll*C rule failed: {cd.fmt(x)} {cd.fmt(y)}")
         for y in cd.Cll:
             want = x if x == y else None
             if cd.product(x, y) != want:
-                fails.append(f"Cll*Cll rule failed: {cd.fmt(x)} {cd.fmt(y)}")
+                fails.append(f"{where}: Cll*Cll rule failed: {cd.fmt(x)} {cd.fmt(y)}")
     for x in cd.elements:
         below = [y for y in cd.elements if sidem_leq(order, y, x)]
         if (below == [x]) != (x in cd.Cll):
-            fails.append(f"primitivity misclassified: {cd.fmt(x)}")
+            fails.append(f"{where}: primitivity misclassified: {cd.fmt(x)}")
     return fails
 
 

@@ -216,6 +216,18 @@ class TestVerifyMatchesReference:
                         assert reference_verify_witness(G1, G2, same)
         assert pairs > 3000 and swaps > 0
 
+    def test_maps_that_are_not_bijections_rejected(self, diamond_graph):
+        w = graphs_isomorphic_ordered(diamond_graph, diamond_graph)
+        (v0, _), (_, x1) = w.vertex_map[:2]
+        (l0, _), (_, y1) = w.label_map[:2]
+        vm, lm = dict(w.vertex_map), dict(w.label_map)
+        vm[v0], lm[l0] = x1, y1
+        for bad in (
+            dataclasses.replace(w, vertex_map=tuple(sorted(vm.items()))),
+            dataclasses.replace(w, label_map=tuple(lm.items())),
+        ):
+            assert not verify_witness(diamond_graph, diamond_graph, bad)
+
     def test_order_is_checked(self, diamond, diamond_graph):
         # a vertex swap that moves no edge: only the order check can catch
         # it, here on an edgeless copy of the diamond

@@ -8,7 +8,7 @@ from shiftmorita.hull import dclass_rep, make_idem
 from shiftmorita.labelled_graph import LabelledGraph, build_graph, fmt_label, to_dot
 from shiftmorita.oracle import Oracle
 from shiftmorita.reference import covers_below
-from shiftmorita.shift import allowed_words
+from shiftmorita.shift import InvariantViolation, allowed_words
 from shiftmorita.sweeps import all_matrices
 
 from conftest import mx, reference_build_graph, relabelled_matrices, seeded_matrices
@@ -24,6 +24,14 @@ def classes_by_name(diamond):
 
 
 class TestDiamondGraph:
+    def test_an_edge_off_its_label_vertex_is_refused(self, diamond_graph):
+        e = diamond_graph.edges[0]
+        elsewhere = e._replace(range=next(v for v in diamond_graph.vertices if v != e.range))
+        with pytest.raises(InvariantViolation, match="edge label disagrees with its range"):
+            LabelledGraph(
+                diamond_graph.matrix, diamond_graph.order, diamond_graph.labels, (elsewhere,)
+            )
+
     def test_four_vertices(self, diamond, diamond_graph):
         assert set(diamond_graph.vertices) == set(classes_by_name(diamond).values())
 

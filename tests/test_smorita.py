@@ -105,6 +105,11 @@ class TestOrderAndProduct:
 
 
 class TestCD:
+    def test_elements_hash_and_print_as_their_pairs(self, diamond):
+        for x in build_cd(diamond).elements:
+            assert x == (x.u, x.g) and hash(x) == hash((x.u, x.g))
+            assert repr(x) == f"SIdem(u={x.u!r}, g={x.g!r})"
+
     def test_diamond_counts(self, diamond):
         cd = build_cd(diamond)
         assert len(cd.C) == 4

@@ -1,0 +1,223 @@
+"""The order and CD sweeps seen failing: each kept check of criteria 3 and
+5 fires on the diamond when one piece is broken, with a message that
+names the stage, the matrix rows and the invariant.  The five order
+mutants break a law that ``sweep_order`` no longer checks on its own (its
+docstring has the proofs); each is caught by the kept check the proof
+names."""
+
+import dataclasses
+
+import pytest
+
+from shiftmorita import smorita, sweeps
+from shiftmorita.core_order import CoreOrder, cached_order
+from shiftmorita.hull import HullIdempotent
+from shiftmorita.smorita import CDSet, SIdem, coherent_check
+
+# the diamond's classes {b}, {a,b}, {b,c}, {a,b,c} by index
+B, AB, BC, ABC = range(4)
+
+
+def broken(order, cls=CoreOrder, **fields):
+    """A copy of ``order`` as ``cls``, with some bitset fields replaced."""
+    kw = {f.name: getattr(order, f.name) for f in dataclasses.fields(CoreOrder)}
+    kw.update(fields)
+    return cls(**kw)
+
+
+def changed(bits, i, fn):
+    """The tuple ``bits`` with entry i replaced by ``fn(bits[i])``."""
+    return bits[:i] + (fn(bits[i]),) + bits[i + 1:]
+
+
+class NonCommutativeMeet(CoreOrder):
+    def meet(self, a, b):
+        return None if a > b else super().meet(a, b)
+
+
+class MeetOfSelfIsZero(CoreOrder):
+    def meet(self, a, b):
+        return None if a == b else super().meet(a, b)
+
+
+class IncomparableMeetsDropped(CoreOrder):
+    def meet(self, a, b):
+        return super().meet(a, b) if self.leq(a, b) or self.leq(b, a) else None
+
+
+class LowestCommonBound(CoreOrder):
+    """The least common lower bound where the greatest belongs."""
+
+    def meet(self, a, b):
+        lower = self.down[self.index[a]] & self.down[self.index[b]]
+        return self.classes[(lower & -lower).bit_length() - 1] if lower else None
+
+
+class LastCoverDropped(CoreOrder):
+    def covers(self, v):
+        return super().covers(v)[:-1]
+
+
+class FakeCovers(CoreOrder):
+    """Two incomparable one-letter idempotents given as covers of {a,b,c}:
+    their product, on word c, is no class representative."""
+
+    def covers(self, v):
+        if v == 0b111:
+            return (HullIdempotent((2,), 0b011), HullIdempotent((2,), 0b110))
+        return super().covers(v)
+
+
+def down_changed(*edits):
+    """A patch that applies (class index, fn) edits to the down-sets."""
+
+    def patch(o):
+        down = o.down
+        for i, fn in edits:
+            down = changed(down, i, fn)
+        return broken(o, down=down)
+
+    return patch
+
+
+def core_changed(i, fn):
+    return lambda o: broken(o, core_bits=changed(o.core_bits, i, fn))
+
+
+def as_class(cls):
+    return lambda o: broken(o, cls)
+
+
+GLB = "a meet is not the greatest lower bound"
+# name: (patch of the diamond's order, stage, part of the message)
+ORDER_PATCHES = {
+    # the five laws with no check of their own, each caught as its proof says
+    "non-commutative meet": (as_class(NonCommutativeMeet), "meets", GLB),
+    "meet(a, a) is zero": (as_class(MeetOfSelfIsZero), "meets", GLB),
+    "incomparable meets dropped": (as_class(IncomparableMeetsDropped), "meets", GLB),
+    "2-cycle {a,b} <= {b,c} <= {a,b}": (
+        down_changed((AB, lambda d: d | 1 << BC), (BC, lambda d: d | 1 << AB)), "meets", GLB),
+    "core missing its lowest member": (
+        core_changed(ABC, lambda c: c & c - 1), "cores",
+        "core of {a,b,c} differs from the reference"),
+    # one per kept check
+    "covers": (as_class(LastCoverDropped), "covers", "covers of {b} differ from the reference"),
+    "core": (core_changed(B, lambda c: c | 1 << ABC), "cores",
+             "core of {b} differs from the reference"),
+    "natural order": (down_changed((BC, lambda d: d | 1 << B | 1 << AB)), "order",
+                      "{a,b} below {b,c} exceeds the natural order"),
+    "transitivity": (down_changed((ABC, lambda d: d & ~(1 << B))), "order",
+                     "not transitive: {b} < {a,b} < {a,b,c}"),
+    "reflexivity": (down_changed((ABC, lambda d: d & ~(1 << ABC))), "order",
+                    "not reflexive at {a,b,c}"),
+    "meet identity": (as_class(LowestCommonBound), "meets", GLB),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_PATCHES)
+def test_order_sweep_names_each_broken_law(diamond, monkeypatch, name):
+    patch, stage, invariant = ORDER_PATCHES[name]
+    order = patch(cached_order(diamond))
+    monkeypatch.setattr(sweeps, "cached_order", lambda T: order)
+    fails = sweeps.sweep_order(diamond)
+    assert any(
+        m.startswith(f"{stage} on rows {diamond.rows}: ") and invariant in m for m in fails
+    ), fails
+
+
+def test_order_sweep_passes_the_diamond(diamond):
+    assert sweeps.sweep_order(diamond) == []
+
+
+def dropped_representative(u):
+    """``CDSet`` with class u's representative left out of C."""
+
+    class Dropped(CDSet):
+        def __init__(self, T):
+            super().__init__(T)
+            self.C = tuple(x for x in self.C if x.u != u)
+            self.elements = self.C + self.Cll
+
+    return Dropped
+
+
+class TestCoherentCheckFails:
+    """Each of ``coherent_check``'s three conditions, broken alone."""
+
+    def test_product_of_representatives_outside_C(self, diamond, monkeypatch):
+        # {a,b} * {b,c} is {b}'s representative, which C lacks
+        monkeypatch.setattr(smorita, "CDSet", dropped_representative(0b010))
+        assert not coherent_check(diamond)
+
+    def test_interval_not_closed(self, diamond, monkeypatch):
+        # C keeps {b} and {a,b,c}, closed under products, but not {a,b}
+        # between them
+        monkeypatch.setattr(smorita, "CDSet", dropped_representative(0b011))
+        assert not coherent_check(diamond)
+
+    def test_product_of_incomparable_covers_outside_C(self, diamond, monkeypatch):
+        order = broken(cached_order(diamond), FakeCovers)
+        monkeypatch.setattr(smorita, "cached_order", lambda T: order)
+        assert not coherent_check(diamond)
+
+
+class WrongCllCanon(CDSet):
+    """{b}'s guarded cover written with the outer class {a,b}."""
+
+    def __init__(self, T):
+        super().__init__(T)
+        self.Cll = tuple(SIdem(0b011, x.g) if x.u == 0b010 else x for x in self.Cll)
+        self.elements = self.C + self.Cll
+
+
+class ReversedC(CDSet):
+    """C listed in reverse, so C[index of the meet] is the wrong class."""
+
+    def __init__(self, T):
+        super().__init__(T)
+        self.C = self.C[::-1]
+        self.elements = self.C + self.Cll
+
+
+class FlippedLeq(CoreOrder):
+    def leq(self, a, b):
+        return super().leq(b, a)
+
+
+class CllProductsNonzero(CDSet):
+    def product(self, x, y):
+        return x if x in self.Cll and y in self.Cll else super().product(x, y)
+
+
+def fixed(value):
+    return lambda T: value
+
+
+# (stage, invariant, module, attribute, its replacement given the order)
+CD_PATCHES = [
+    ("coherence", "coherent_check failed",
+     smorita, "cached_order", lambda o: fixed(broken(o, FakeCovers))),
+    ("CD", "guarded cover not in canonical form: [{a,b},",
+     smorita, "CDSet", lambda o: WrongCllCanon),
+    ("CD", "C*C rule failed", smorita, "CDSet", lambda o: ReversedC),
+    ("CD", "Cll*C rule failed", smorita, "cached_order", lambda o: fixed(broken(o, FlippedLeq))),
+    ("CD", "Cll*Cll rule failed", smorita, "CDSet", lambda o: CllProductsNonzero),
+    ("CD", "primitivity misclassified", sweeps, "sidem_leq", lambda o: lambda _, x, y: x == y),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, invariant, module, attr, replacement", CD_PATCHES, ids=[p[1] for p in CD_PATCHES]
+)
+def test_cd_sweep_names_each_broken_rule(
+    diamond, monkeypatch, stage, invariant, module, attr, replacement
+):
+    """Each patch breaks one rule, and only that rule's message fires."""
+    monkeypatch.setattr(module, attr, replacement(cached_order(diamond)))
+    fails = sweeps.sweep_cd(diamond)
+    want = f"{stage} on rows {diamond.rows}: {invariant}"
+    assert fails and all(m.startswith(want) for m in fails), fails
+
+
+def test_cd_sweep_passes_the_diamond(diamond):
+    assert sweeps.sweep_cd(diamond) == []
