@@ -18,9 +18,10 @@ list, and the axiom suite reads Green's R and L off the paths and middles.
 The axiom suite needs every product among thousands
 of elements, so ``ProductTables`` fills its tables by path-pair gathers:
 a product depends on the two inner paths only through their prefix case
-and tail, computed once per path pair, and the middle vertex comes from
-numpy gathers over the vertex leq and meet tables, on the cells of
-comparable path pairs only.
+and tail, found from each path's prefixes, and the middle vertex comes
+from numpy gathers over the vertex leq and meet tables, on the cells of
+comparable path pairs only, in row chunks of at most ``_CHUNK`` such
+cells plus one row.  The element-by-element table seeds the two wider ones.
 """
 
 from __future__ import annotations
@@ -213,11 +214,13 @@ class ProductTables:
     A product (alpha, A, beta)(gamma, B, delta) depends on the path pair
     (beta, gamma) only through the prefix case, the tail, the range of the
     tail's first label and the source of its last label, as in
-    ``LgisEngine.multiply``.  Each table computes those once per distinct
-    path pair, then fills its cells in row chunks by numpy gathers over the
-    vertex leq and meet tables, whose extra last index is the empty set,
-    on the cells of comparable path pairs only; the rest stay zero.  A
-    table over ``MAX_TABLE_CELLS`` cells raises ``TableSizeError`` unfilled.
+    ``LgisEngine.multiply``.  Each table finds the comparable path pairs
+    from each path's prefixes, then fills their cells by numpy gathers
+    over the vertex leq and meet tables, whose extra last index is the
+    empty set, in row chunks of at most ``_CHUNK`` such cells plus one
+    row; the rest stay zero.  ``left`` and ``right`` start as copies of
+    ``pair``, which covers the elements, the first n ids of U1.  A table
+    over ``MAX_TABLE_CELLS`` cells raises ``TableSizeError`` unallocated.
     """
 
     def __init__(self, eng: LgisEngine, elems: Sequence[Element]):
@@ -240,11 +243,17 @@ class ProductTables:
         self.keys: list[int] = []
         self._ids: dict[int, int] = {}
         self._intern([self._key(e) for e in elems])
-        x = self._operands(len(elems))
-        self.pair = self._table(x, x)
-        u = self._operands(len(self.keys))
-        self.left = self._table(x, u)
-        self.right = self._table(u, x)
+        n = len(elems)
+        x = self._operands(0, n)
+        self.pair = self._table(x, x, self._alloc(n, n))
+        nu = len(self.keys)
+        u = self._operands(n, nu)
+        self.left = self._alloc(n, nu)
+        self.left[:, :n] = self.pair
+        self._table(x, u, self.left[:, n:])
+        self.right = self._alloc(nu, n)
+        self.right[:n] = self.pair
+        self._table(u, x, self.right[n:])
 
     def id_of(self, e: Element) -> int:
         """The universe id of an element already in the universe."""
@@ -284,13 +293,22 @@ class ProductTables:
         self.keys.extend(new)
         return list(map(self._ids.__getitem__, keys))
 
-    def _operands(self, m: int):
-        """(alpha ids, middle indices, beta ids) of universe ids 0..m-1; zero
-        has empty paths and the empty-set middle, so every product with it
-        comes out zero."""
+    def _alloc(self, rows: int, cols: int):
         import numpy as np
 
-        keys = np.array(self.keys[:m], dtype=np.int64)
+        if rows * cols > MAX_TABLE_CELLS:
+            raise TableSizeError(
+                f"a {rows} x {cols} product table exceeds {MAX_TABLE_CELLS} cells"
+            )
+        return np.empty((rows, cols), dtype=np.int32)
+
+    def _operands(self, lo: int, hi: int):
+        """(alpha ids, middle indices, beta ids) of universe ids lo..hi-1;
+        zero has empty paths and the empty-set middle, so every product
+        with it comes out zero."""
+        import numpy as np
+
+        keys = np.array(self.keys[lo:hi], dtype=np.int64)
         zero = keys < 0
         return (
             np.where(zero, 0, keys >> 2 * _BITS),
@@ -300,59 +318,69 @@ class ProductTables:
 
     def _relation(self, betas, gammas):
         """Per path pair: case 1 if gamma = beta.t, case 2 if beta = gamma.t
-        with t nonempty, else 0; and the tail t's path id."""
+        with t nonempty, else 0; and the tail t's path id.  Found by looking
+        up each gamma's prefixes among the betas, and each beta's proper
+        prefixes among the gammas."""
         import numpy as np
 
-        rel = np.zeros((len(betas), len(gammas), 2), dtype=np.int64)
-        for i, bp in enumerate(self.paths[b] for b in betas.tolist()):
-            for j, gp in enumerate(self.paths[g] for g in gammas.tolist()):
-                if gp[: len(bp)] == bp:
-                    rel[i, j] = 1, self._path_id(gp[len(bp):])
-                elif bp[: len(gp)] == gp:
-                    rel[i, j] = 2, self._path_id(bp[len(gp):])
-        return rel[..., 0].astype(np.int8), rel[..., 1]
+        case = np.zeros((len(betas), len(gammas)), dtype=np.int8)
+        tail = np.zeros(case.shape, dtype=np.int64)
+        bs, gs = ([self.paths[p] for p in ids.tolist()] for ids in (betas, gammas))
+        # case 2 fills the transposes: its heads are gammas, its paths betas
+        for c, heads, longer, cs, ts in ((1, bs, gs, case, tail), (2, gs, bs, case.T, tail.T)):
+            at = {p: i for i, p in enumerate(heads)}
+            for j, q in enumerate(longer):
+                for m in range(len(q) + (c == 1)):
+                    i = at.get(q[:m])
+                    if i is not None:
+                        cs[i, j], ts[i, j] = c, self._path_id(q[m:])
+        return case, tail
 
-    def _table(self, x, y):
+    def _table(self, x, y, out):
+        """``out``, filled with the products of operands x by operands y."""
         import numpy as np
 
         xa, xv, xb = x
         ya, yv, yb = y
-        if len(xa) * len(ya) > MAX_TABLE_CELLS:
-            raise TableSizeError(
-                f"a {len(xa)} x {len(ya)} product table exceeds {MAX_TABLE_CELLS} cells"
-            )
         betas, bi = np.unique(xb, return_inverse=True)
         gammas, gi = np.unique(ya, return_inverse=True)
         case, tail = self._relation(betas, gammas)
+        # the comparable cells (b, j) of each beta class b, listed by class;
+        # everything that depends on the column is found here, once
+        cb, cj = np.nonzero(case[:, gi])
+        c, t = case[cb, gi[cj]], tail[cb, gi[cj]]
         e = self._empty
-        first = np.array([self._range[p[0]] if p else e for p in self.paths])
-        last = np.array([self._src[p[-1]] if p else e for p in self.paths])
-        out = np.empty((len(xa), len(ya)), dtype=np.int32)
-        step = max(1, _CHUNK // max(1, len(ya)))
-        for r in range(0, len(xa), step):
-            # only the cells of comparable path pairs can be nonzero
-            block = case[bi[r:r + step, None], gi]
-            i, j = np.nonzero(block)
-            c, t = block[i, j], tail[bi[i + r], gi[j]]
-            i += r
-            A, B = xv[i], yv[j]
-            f, s = first[t], last[t]
-            # case 1 meets s(A, t) with B; case 2 meets A with s(B, t)
-            sA = np.where(t == 0, A, np.where(self._leq[f, A], s, e))
-            sB = np.where(self._leq[f, B], s, e)
-            mid = np.where(c == 1, self._meet[sA, B], self._meet[A, sB])
+        tails, ti = np.unique(np.append(t, 0), return_inverse=True)  # tails[0] = ()
+        rs = np.array([  # rs[tail, v]: s(v, tail) as a vertex index
+            np.where(self._leq[self._range[p[0]]], self._src[p[-1]], e)
+            if p else np.arange(e + 1)
+            for p in map(self.paths.__getitem__, tails.tolist())
+        ])
+        # case 1 meets s(A, t) with B, case 2 meets s(A, ()) = A with s(B, t)
+        one, ti, B = c == 1, ti[:-1], yv[cj]
+        ra, q = np.where(one, ti, 0), np.where(one, B, rs[ti, B])
+        delta = self._concat(yb[cj], t, ~one) << _BITS
+        cnt = np.bincount(cb, minlength=len(betas))
+        ptr = np.cumsum(cnt) - cnt
+        before = np.concatenate(([0], np.cumsum(cnt[bi])))  # comparable cells before each row
+        zero = self._ids.get(-1, -1)
+        out[...] = zero
+        cuts = np.flatnonzero(np.diff(before[:-1] // _CHUNK, prepend=-1)).tolist()
+        for r, s in zip(cuts, cuts[1:] + [len(bi)]):
+            # rows r..s-1: below _CHUNK comparable cells before the last
+            # row; k indexes them among the (b, j)
+            rows = bi[r:s]
+            i = np.repeat(np.arange(r, s), cnt[rows])
+            k = np.arange(before[r], before[s])
+            k += np.repeat(ptr[rows] - before[r:s], cnt[rows])
+            mid = self._meet[rs[ra[k], xv[i]], q[k]]
             live = np.flatnonzero(mid != e)
-            i, j, c, t, mid = i[live], j[live], c[live], t[live], mid[live]
-            alpha = self._concat(xa[i], t, c == 1)
-            delta = self._concat(yb[j], t, c == 2)
-            uniq, inv = np.unique(
-                alpha << 2 * _BITS | delta << _BITS | mid, return_inverse=True
-            )
-            chunk = out[r:r + step]
-            if len(live) < chunk.size:
-                chunk[...] = self._intern([-1])[0]  # zero, the least key, first
-            ids = np.array(self._intern(uniq.tolist()), dtype=np.int32)
-            chunk[i - r, j] = ids[inv]
+            i, k, mid = i[live], k[live], mid[live]
+            alpha = self._concat(xa[i], t[k], one[k])
+            uniq, inv = np.unique(alpha << 2 * _BITS | delta[k] | mid, return_inverse=True)
+            out[i, cj[k]] = np.array(self._intern(uniq.tolist()), dtype=np.int32)[inv]
+        if zero < 0 and (dead := out < 0).any():  # zero was not in the universe yet
+            out[dead] = self._intern([-1])[0]
         return out
 
     def _concat(self, head, tail, where):
@@ -401,8 +429,9 @@ def run_axiom_suite(
 
     results: dict = {"elements": n, "universe": len(tab.keys)}
 
+    index = pair.astype(np.intp)  # cast once, not once per row
     results["associativity"] = all(
-        np.array_equal(left[i][pair], right[pair[i], :]) for i in range(n)
+        np.array_equal(left[i][index], right[index[i]]) for i in range(n)
     )
 
     ar = np.arange(n)

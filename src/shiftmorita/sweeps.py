@@ -39,7 +39,7 @@ from .reference import (
     core_of_at,
     covers_below,
 )
-from .shift import TransitionMatrix, f_classes, natural_leq
+from .shift import InvariantViolation, TransitionMatrix, f_classes, natural_leq
 from .smorita import build_cd, cd_isomorphic, coherent_check, make_sidem, sidem_leq
 
 SYMBOLS = ("a", "b", "c", "d")
@@ -196,7 +196,9 @@ def sweep_lgis(T: TransitionMatrix) -> list[str]:
 def sweep_cd(T: TransitionMatrix) -> list[str]:
     """Criterion: coherence, the guarded covers in canonical form, the CD
     product case rules, and primitivity.  Each failure names the stage,
-    the matrix rows and the invariant."""
+    the matrix rows and the invariant.  A C that is not one representative
+    per class in class order, or a product that leaves the CD, ends the
+    CD checks with one failure line."""
     fails: list[str] = []
     if not coherent_check(T):
         fails.append(f"coherence on rows {T.rows}: coherent_check failed")
@@ -206,22 +208,27 @@ def sweep_cd(T: TransitionMatrix) -> list[str]:
     bad = [x for x in cd.Cll if make_sidem(order, x.u, x.g) != x]
     if bad:  # CDSet.product's closure check would raise on these first
         return fails + [f"{where}: guarded cover not in canonical form: {cd.fmt(x)}" for x in bad]
-    for x in cd.C:
-        for y in cd.C:
-            p = cd.product(x, y)
-            m = order.meet(x.u, y.u)
-            want = None if m is None else cd.C[order.index[m]]
-            if p != want:
-                fails.append(f"{where}: C*C rule failed: {cd.fmt(x)} {cd.fmt(y)}")
-    for x in cd.Cll:
-        for y in cd.C:
-            want = x if order.leq(x.u, y.u) else None
-            if cd.product(x, y) != want or cd.product(y, x) != want:
-                fails.append(f"{where}: Cll*C rule failed: {cd.fmt(x)} {cd.fmt(y)}")
-        for y in cd.Cll:
-            want = x if x == y else None
-            if cd.product(x, y) != want:
-                fails.append(f"{where}: Cll*Cll rule failed: {cd.fmt(x)} {cd.fmt(y)}")
+    if [x.u for x in cd.C] != list(order.classes):  # the C*C rule reads C by class index
+        return fails + [f"{where}: C is not one representative per class, in class order"]
+    try:
+        for x in cd.C:
+            for y in cd.C:
+                p = cd.product(x, y)
+                m = order.meet(x.u, y.u)
+                want = None if m is None else cd.C[order.index[m]]
+                if p != want:
+                    fails.append(f"{where}: C*C rule failed: {cd.fmt(x)} {cd.fmt(y)}")
+        for x in cd.Cll:
+            for y in cd.C:
+                want = x if order.leq(x.u, y.u) else None
+                if cd.product(x, y) != want or cd.product(y, x) != want:
+                    fails.append(f"{where}: Cll*C rule failed: {cd.fmt(x)} {cd.fmt(y)}")
+            for y in cd.Cll:
+                want = x if x == y else None
+                if cd.product(x, y) != want:
+                    fails.append(f"{where}: Cll*Cll rule failed: {cd.fmt(x)} {cd.fmt(y)}")
+    except InvariantViolation as err:  # from CDSet.product
+        return fails + [f"{where}: {err}"]
     for x in cd.elements:
         below = [y for y in cd.elements if sidem_leq(order, y, x)]
         if (below == [x]) != (x in cd.Cll):

@@ -5,6 +5,7 @@ import sys
 from itertools import product as iproduct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shiftmorita
@@ -496,6 +497,14 @@ def element_count(T) -> int:
     return len(LgisEngine(build_graph(T)).enumerate_elements(2))
 
 
+def three_letter_sample() -> list:
+    """A seeded twelve of the 3-letter graphs with at most 60 elements."""
+    cheap = [
+        T for T in sweeps.all_matrices(3) if T.n == 3 and element_count(T) <= 60
+    ]
+    return random.Random(6).sample(cheap, 12)
+
+
 class TestTableSizeGuard:
     def test_count_matches_enumeration(self, diamond_graph):
         """On every graph with at most 3 letters up to path length 2, and on
@@ -533,8 +542,66 @@ class TestProductTables:
         assert_tables_match_engine(T)
 
     def test_seeded_three_letter_sample_matches_engine(self):
-        cheap = [
-            T for T in sweeps.all_matrices(3) if T.n == 3 and element_count(T) <= 60
-        ]
-        for T in random.Random(6).sample(cheap, 12):
+        for T in three_letter_sample():
             assert_tables_match_engine(T)
+
+    def test_zero_joins_the_universe_only_as_a_product(self, diamond, diamond_graph):
+        eng = LgisEngine(diamond_graph)
+        elems = eng.enumerate_elements(1)[1:]  # every element but zero
+        tab = ProductTables(eng, elems)
+        pair = tab.pair.tolist()
+        for i, a in enumerate(elems):
+            for j, b in enumerate(elems):
+                assert tab.element(pair[i][j]) == eng.multiply(a, b), (a, b)
+        assert tab.id_of(None) >= len(elems)
+        top = ((), diamond.mask_of("abc"), ())  # an idempotent, its own square
+        assert ProductTables(eng, [top]).keys == [tab.keys[elems.index(top)]]
+
+    @pytest.mark.parametrize("chunk", [1, 37])
+    def test_chunk_budgets_that_end_inside_rows(self, diamond, monkeypatch, chunk):
+        """Chunks of one row each, and of a few rows whose comparable
+        cells pass the budget partway through the last one."""
+        monkeypatch.setattr(lgis, "_CHUNK", chunk)
+        for T in [diamond, *three_letter_sample()]:
+            assert_tables_match_engine(T)
+
+    def test_relation_matches_pairwise_slices(self, diamond):
+        """``_relation`` from prefixes against its definition, on every
+        pair of the paths a filled table set knows, betas a subset."""
+        for T in [diamond, *three_letter_sample()]:
+            eng = LgisEngine(build_graph(T))
+            tab = ProductTables(eng, eng.enumerate_elements(2))
+            paths = list(tab.paths)
+            ids = np.arange(len(paths))
+            case, tail = tab._relation(ids[::3], ids)
+            for i, b in enumerate(paths[::3]):
+                for j, g in enumerate(paths):
+                    if g[: len(b)] == b:
+                        want = (1, g[len(b):])
+                    elif b[: len(g)] == g:
+                        want = (2, b[len(g):])
+                    else:
+                        want = (0, ())
+                    assert (case[i, j], tab.paths[tail[i, j]]) == want, (b, g)
+
+
+class TestTableReadsFail:
+    @pytest.mark.parametrize("name", ["pair", "left", "right"])
+    def test_one_wrong_cell_fails_associativity(self, diamond_graph, monkeypatch, name):
+        """One live cell holding another universe id: in pair, or in the
+        part of left or right that is filled past the copy of pair."""
+
+        class OneWrongCell(ProductTables):
+            def __init__(self, eng, elems):
+                super().__init__(eng, elems)
+                n = len(elems)
+                i, j = np.argwhere(self.pair >= n)[0]  # x_i x_j is no element
+                k = self.pair[i, j]
+                table = getattr(self, name)
+                cell = {"pair": (i, j), "left": (i, k), "right": (k, j)}[name]
+                assert table[cell] != self.id_of(None)
+                table[cell] = (table[cell] + 1) % n
+
+        monkeypatch.setattr(lgis, "ProductTables", OneWrongCell)
+        res = run_axiom_suite(diamond_graph, samples3=0)
+        assert res["associativity"] is False and res["ok"] is False

@@ -179,6 +179,22 @@ class ReversedC(CDSet):
         self.elements = self.C + self.Cll
 
 
+class CProductsFirstFactor(CDSet):
+    """A product of two representatives answered with its first factor."""
+
+    def product(self, x, y):
+        return x if x in self.C and y in self.C else super().product(x, y)
+
+
+class MembersOnlyC(CDSet):
+    """The member set holds C alone, so a product that is a guarded cover
+    leaves the CD."""
+
+    def __init__(self, T):
+        super().__init__(T)
+        self._members = frozenset(self.C)
+
+
 class FlippedLeq(CoreOrder):
     def leq(self, a, b):
         return super().leq(b, a)
@@ -199,7 +215,9 @@ CD_PATCHES = [
      smorita, "cached_order", lambda o: fixed(broken(o, FakeCovers))),
     ("CD", "guarded cover not in canonical form: [{a,b},",
      smorita, "CDSet", lambda o: WrongCllCanon),
-    ("CD", "C*C rule failed", smorita, "CDSet", lambda o: ReversedC),
+    ("CD", "C is not one representative per class", smorita, "CDSet", lambda o: ReversedC),
+    ("CD", "C*C rule failed", smorita, "CDSet", lambda o: CProductsFirstFactor),
+    ("CD", "CD is not closed under products", smorita, "CDSet", lambda o: MembersOnlyC),
     ("CD", "Cll*C rule failed", smorita, "cached_order", lambda o: fixed(broken(o, FlippedLeq))),
     ("CD", "Cll*Cll rule failed", smorita, "CDSet", lambda o: CllProductsNonzero),
     ("CD", "primitivity misclassified", sweeps, "sidem_leq", lambda o: lambda _, x, y: x == y),
@@ -217,6 +235,16 @@ def test_cd_sweep_names_each_broken_rule(
     fails = sweeps.sweep_cd(diamond)
     want = f"{stage} on rows {diamond.rows}: {invariant}"
     assert fails and all(m.startswith(want) for m in fails), fails
+
+
+def test_cd_sweep_reports_a_missing_representative(diamond, monkeypatch):
+    """A C without {b}'s representative gives failure lines, not an
+    IndexError from the C*C rule's lookup by class index."""
+    monkeypatch.setattr(smorita, "CDSet", dropped_representative(0b010))
+    assert sweeps.sweep_cd(diamond) == [
+        f"coherence on rows {diamond.rows}: coherent_check failed",
+        f"CD on rows {diamond.rows}: C is not one representative per class, in class order",
+    ]
 
 
 def test_cd_sweep_passes_the_diamond(diamond):
