@@ -12,6 +12,12 @@ in ``hull`` is checked against it, never the other way round.  The words are
 ``shift.allowed_words``, and ``Oracle.word_count`` counts them from
 ``shift.walk_ends`` without listing one, so that a depth too large is
 refused before any word is built.
+
+Each map is composed once per oracle: the prefix maps, the class maps and
+the idempotent maps are kept in per-oracle dicts.  ``predicted_domain``
+reads the words grouped by (prefix, next letter) rather than scanning
+every word, and the sweep in ``sweeps.oracle_failures`` compares map
+domains as int bitsets over positions in ``Oracle.words``.
 """
 
 from __future__ import annotations
@@ -59,6 +65,8 @@ class Oracle:
             self._theta_inv[a] = {v: w for w, v in fwd.items()}
         self._prefix_cache: dict[Word, tuple[PartialMap, PartialMap]] = {}
         self._fclass_cache: dict[int, PartialMap] = {}
+        self._idem_cache: dict[HullIdempotent, PartialMap] = {}
+        self._tails: dict[int, dict[tuple[Word, int], list[Word]]] = {}
 
     @staticmethod
     def word_count(T: TransitionMatrix, depth: int) -> int:
@@ -120,12 +128,26 @@ class Oracle:
         return self._fclass_cache[vec]
 
     def idem_map(self, e: HullIdempotent) -> PartialMap:
-        """Truncated map of a canonical idempotent, composed from caches."""
-        core = self.fclass_map(e.vec)
-        if not e.word:
-            return core
-        fwd, inv = self._word_maps(e.word)
-        return compose(fwd, compose(core, inv))
+        """Truncated map of a canonical idempotent, composed once from the
+        caches and kept; callers must not change the returned dict."""
+        if e not in self._idem_cache:
+            m = self.fclass_map(e.vec)
+            if e.word:
+                fwd, inv = self._word_maps(e.word)
+                m = compose(fwd, compose(m, inv))
+            self._idem_cache[e] = m
+        return self._idem_cache[e]
+
+    def _tails_at(self, k: int) -> dict[tuple[Word, int], list[Word]]:
+        """The words x with k < len(x) <= k + depth - 1, grouped by
+        (x[:k], x[k]); built on first use for each k."""
+        if k not in self._tails:
+            groups: dict[tuple[Word, int], list[Word]] = {}
+            for x in self.words:
+                if k < len(x) <= k + self.depth - 1:
+                    groups.setdefault((x[:k], x[k]), []).append(x)
+            self._tails[k] = groups
+        return self._tails[k]
 
     def predicted_domain(self, e: HullIdempotent) -> set[Word]:
         """{w.t : t allowed, first(t) in vec} under the truncation rule.
@@ -133,17 +155,16 @@ class Oracle:
         Evaluating the canonical generator word lifts the tail t to x.t for
         each witness letter x, so tails of length depth survive only up to
         depth - 1; the composed map cannot contain them and neither does
-        the prediction.
+        the prediction.  ``vec`` need not be canonical: the words are read
+        from the (word, letter) groups of ``_tails_at`` for each of its
+        letters, and a letter that cannot follow the word has no group.
         """
-        k = len(e.word)
-        return {
-            x
-            for x in self.words
-            if len(x) > k
-            and x[:k] == e.word
-            and e.vec >> x[k] & 1
-            and len(x) - k <= self.depth - 1
-        }
+        groups = self._tails_at(len(e.word))
+        out: set[Word] = set()
+        for a in range(self.T.n):
+            if e.vec >> a & 1:
+                out.update(groups.get((e.word, a), ()))
+        return out
 
     def matches(self, e: HullIdempotent) -> bool:
         """True iff the composed generator word is the identity on exactly
@@ -155,14 +176,4 @@ class Oracle:
         m = self.idem_map(e)
         if any(x != y for x, y in m.items()):
             return False
-        return set(m) == self.predicted_domain(e)
-
-    def clip(self, m: PartialMap) -> PartialMap:
-        """Restrict a map to words of length <= depth - 1.
-
-        Every idempotent map is complete down to that length regardless of
-        its word length, so clipped maps are exact truncations of the true
-        partial bijections and may be compared or composed freely.
-        """
-        lim = self.depth - 1
-        return {x: y for x, y in m.items() if len(x) <= lim and len(y) <= lim}
+        return m.keys() == self.predicted_domain(e)

@@ -23,6 +23,7 @@ from itertools import combinations, product as iproduct
 from .core_order import cached_order
 from .decide import decide_morita, graphs_isomorphic_ordered, verify_witness
 from .hull import (
+    HullIdempotent,
     base_idem,
     enumerate_idems,
     fmt_idem,
@@ -32,7 +33,7 @@ from .hull import (
 )
 from .labelled_graph import build_graph
 from .lgis import run_axiom_suite
-from .oracle import Oracle, compose
+from .oracle import Oracle
 from .reference import (
     brute_force_isomorphic,
     check_meet_identity,
@@ -57,35 +58,65 @@ def sweep_oracle(T: TransitionMatrix, depth: int = 6) -> list[str]:
     """Criterion: canonical idempotent algebra vs truncated partial maps.
 
     Verifies Oracle.matches for every canonical idempotent with |word| <= 3
-    (below depth 5, only for |word| <= depth - 2), then (knowing each map is
-    a partial identity) compares the products, the order and the covering
-    relation of those with |word| <= 2 against clipped map domains, with
-    idempotents of word length <= 3 swept as possible in-betweens.
+    (at depth 4, only for |word| <= 2), then compares the products, the
+    order and the covering relation of those with |word| <= 2 against
+    their clipped map domains, with idempotents of word length <= 3 swept
+    as possible in-betweens.  Depths below 4 are refused.
+
+    A clipped domain is the set of words x of the map with x and its image
+    of length <= depth - 1, held as an int bitset over positions in
+    ``Oracle.words``; products and the order are read off these bitsets.
+    Each failure line is the one that composing the clipped maps gives:
+    - At depth >= 4, ``matches`` tests every map with a word of length
+      <= 2 for being the identity, and every product of two such
+      idempotents is zero or again has a word of length <= 2.  The
+      composite of identities on D1 and D2 is the identity on D1 & D2,
+      which clipping leaves as it is.  So when those maps are identities,
+      the composite differs from the product's map (empty for zero)
+      exactly when D1 & D2 differs from the product's domain, which is
+      the bitset test.  A map that is not an identity already gives its
+      ``Oracle.matches failed`` line.
+    - The order and cover checks compared the clipped domains as sets
+      before; the bitsets hold the same words, so the subset tests agree.
     """
     return oracle_failures(T, Oracle(T, depth))
 
 
+def _strictly_below(a: int, b: int) -> bool:
+    return a != b and not a & ~b
+
+
 def oracle_failures(T: TransitionMatrix, oracle: Oracle) -> list[str]:
     """``sweep_oracle`` against a given oracle; the CLI passes a corrupted
-    one as its negative control."""
+    one as its negative control.  Below depth 4, ``matches`` would not
+    test every map that the product check reads, so such an oracle is
+    refused with a ``ValueError``."""
+    if oracle.depth < 4:
+        raise ValueError("oracle sweep depth must be >= 4")
     fails: list[str] = []
     idems2 = enumerate_idems(T, 2)
     idems3 = enumerate_idems(T, 3)
     for e in idems3:
         if len(e.word) + 2 <= oracle.depth and not oracle.matches(e):
             fails.append(f"Oracle.matches failed: {fmt_idem(T, e)}")
-    clipped = {e: oracle.clip(oracle.idem_map(e)) for e in idems3}
-    doms = {e: frozenset(m) for e, m in clipped.items()}
+    lim = oracle.depth - 1
+    bit = {w: 1 << i for i, w in enumerate(oracle.words)}
+    doms: dict[HullIdempotent | None, int] = {None: 0}  # zero's domain is empty
+    for e in idems3:
+        d = 0
+        for x, y in oracle.idem_map(e).items():
+            if len(x) <= lim and len(y) <= lim:
+                d |= bit[x]
+        doms[e] = d
     for e1 in idems2:
+        d1 = doms[e1]
         for e2 in idems2:
-            comp = oracle.clip(compose(clipped[e1], clipped[e2]))
-            p = idem_product(e1, e2)
-            want = clipped[p] if p is not None else {}
-            if comp != want:
+            d2 = doms[e2]
+            if d1 & d2 != doms[idem_product(e1, e2)]:
                 fails.append(
                     f"product mismatch: {fmt_idem(T, e1)} * {fmt_idem(T, e2)}"
                 )
-            if idem_leq(e1, e2) != (doms[e1] <= doms[e2]):
+            if idem_leq(e1, e2) != (not d1 & ~d2):
                 fails.append(
                     f"leq mismatch: {fmt_idem(T, e1)} vs {fmt_idem(T, e2)}"
                 )
@@ -93,15 +124,17 @@ def oracle_failures(T: TransitionMatrix, oracle: Oracle) -> list[str]:
         top = doms[base_idem(T, v)]
         cs = covers_below(T, v)
         for c in cs:
-            if not doms[c] < top:
+            dc = doms[c]
+            if not _strictly_below(dc, top):
                 fails.append(f"cover not strictly below: {fmt_idem(T, c)}")
             for d in cs:
-                if c != d and doms[c] <= doms[d]:
+                if c != d and not dc & ~doms[d]:
                     fails.append(
                         f"covers not an antichain: {fmt_idem(T, c)}, {fmt_idem(T, d)}"
                     )
             for e in idems3:
-                if doms[c] < doms[e] < top:
+                de = doms[e]
+                if _strictly_below(dc, de) and _strictly_below(de, top):
                     fails.append(
                         f"{fmt_idem(T, e)} interposes below {T.fmt_vec(v)}"
                     )

@@ -1,5 +1,6 @@
 import pytest
 
+from shiftmorita.cli import _MismatchedOracle
 from shiftmorita.hull import enumerate_idems, make_idem
 from shiftmorita.oracle import Oracle, compose
 from shiftmorita.shift import allowed_words
@@ -95,11 +96,49 @@ class TestMatches:
         e2 = make_idem(diamond, (), diamond.mask_of("ab"))
         assert set(o.idem_map(e1)) != o.predicted_domain(e2)
 
+    def test_each_map_is_composed_once(self, diamond):
+        o = Oracle(diamond, 5)
+        for e in enumerate_idems(diamond, 3):
+            assert o.idem_map(e) is o.idem_map(e)
+
     def test_depth_too_small(self, diamond):
         o = Oracle(diamond, 3)
         e = make_idem(diamond, (0, 1), diamond.mask_of("bc"))
         with pytest.raises(ValueError, match="too small"):
             o.matches(e)
+
+
+def scanned_domain(words, depth, word, vec):
+    """``predicted_domain`` as a scan of every word."""
+    k = len(word)
+    return {
+        x
+        for x in words
+        if len(x) > k and x[:k] == word and vec >> x[k] & 1 and len(x) - k <= depth - 1
+    }
+
+
+def test_indexed_domain_matches_the_scan():
+    """Every canonical idempotent with |word| <= 3 of the matrices with at
+    most 3 letters, at depths 4-6, and the complemented vector that the
+    corrupted oracle of ``oracle-check --corrupt`` passes.  The scan's
+    conditions that do not read the vector are applied once per word."""
+    for T in all_matrices(3):
+        idems = enumerate_idems(T, 3)
+        for depth in (4, 5, 6):
+            o = _MismatchedOracle(T, depth)
+            words = {}
+            for e in idems:
+                if e.word not in words:
+                    words[e.word] = scanned_domain(o.words, depth, e.word, (1 << T.n) - 1)
+                k = len(e.word)
+                # Oracle's own method, then the override's complement
+                assert Oracle.predicted_domain(o, e) == {
+                    x for x in words[e.word] if e.vec >> x[k] & 1
+                }
+                assert o.predicted_domain(e) == {
+                    x for x in words[e.word] if not e.vec >> x[k] & 1
+                }
 
 
 class TestUniqueness:

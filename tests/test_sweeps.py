@@ -1,17 +1,30 @@
-"""The order and CD sweeps seen failing: each kept check of criteria 3 and
-5 fires on the diamond when one piece is broken, with a message that
-names the stage, the matrix rows and the invariant.  The five order
-mutants break a law that ``sweep_order`` no longer checks on its own (its
-docstring has the proofs); each is caught by the kept check the proof
-names."""
+"""The oracle, order and CD sweeps seen failing: each kept check of
+criteria 2, 3 and 5 fires on the diamond when one piece is broken, with a
+message that names the idempotents, or the stage, the matrix rows and the
+invariant.  The five order mutants break a law that ``sweep_order`` no
+longer checks on its own (its docstring has the proofs); each is caught by
+the kept check the proof names.  The oracle sweep's bitset domains are
+also checked against the dict-composing sweep they replaced."""
 
 import dataclasses
+import random
 
 import pytest
 
 from shiftmorita import smorita, sweeps
+from shiftmorita.cli import _MismatchedOracle
 from shiftmorita.core_order import CoreOrder, cached_order
-from shiftmorita.hull import HullIdempotent
+from shiftmorita.hull import (
+    HullIdempotent,
+    base_idem,
+    enumerate_idems,
+    fmt_idem,
+    idem_leq,
+    idem_product,
+)
+from shiftmorita.oracle import Oracle, compose
+from shiftmorita.reference import covers_below
+from shiftmorita.shift import f_classes
 from shiftmorita.smorita import CDSet, SIdem, coherent_check
 
 # the diamond's classes {b}, {a,b}, {b,c}, {a,b,c} by index
@@ -249,3 +262,142 @@ def test_cd_sweep_reports_a_missing_representative(diamond, monkeypatch):
 
 def test_cd_sweep_passes_the_diamond(diamond):
     assert sweeps.sweep_cd(diamond) == []
+
+
+def clip(oracle, m):
+    """``m`` restricted to words x with x and m[x] of length <= depth - 1."""
+    lim = oracle.depth - 1
+    return {x: y for x, y in m.items() if len(x) <= lim and len(y) <= lim}
+
+
+def dict_oracle_failures(T, oracle):
+    """The oracle sweep as it was before its domains became bitsets: every
+    product is composed from the clipped maps and compared as a dict."""
+    fails = []
+    idems2 = enumerate_idems(T, 2)
+    idems3 = enumerate_idems(T, 3)
+    for e in idems3:
+        if len(e.word) + 2 <= oracle.depth and not oracle.matches(e):
+            fails.append(f"Oracle.matches failed: {fmt_idem(T, e)}")
+    clipped = {e: clip(oracle, oracle.idem_map(e)) for e in idems3}
+    doms = {e: frozenset(m) for e, m in clipped.items()}
+    for e1 in idems2:
+        for e2 in idems2:
+            comp = clip(oracle, compose(clipped[e1], clipped[e2]))
+            p = idem_product(e1, e2)
+            want = clipped[p] if p is not None else {}
+            if comp != want:
+                fails.append(f"product mismatch: {fmt_idem(T, e1)} * {fmt_idem(T, e2)}")
+            if idem_leq(e1, e2) != (doms[e1] <= doms[e2]):
+                fails.append(f"leq mismatch: {fmt_idem(T, e1)} vs {fmt_idem(T, e2)}")
+    for v in f_classes(T):
+        top = doms[base_idem(T, v)]
+        cs = covers_below(T, v)
+        for c in cs:
+            if not doms[c] < top:
+                fails.append(f"cover not strictly below: {fmt_idem(T, c)}")
+            for d in cs:
+                if c != d and doms[c] <= doms[d]:
+                    fails.append(f"covers not an antichain: {fmt_idem(T, c)}, {fmt_idem(T, d)}")
+            for e in idems3:
+                if doms[c] < doms[e] < top:
+                    fails.append(f"{fmt_idem(T, e)} interposes below {T.fmt_vec(v)}")
+    return fails
+
+
+@pytest.mark.parametrize("oracle_cls", [Oracle, _MismatchedOracle])
+@pytest.mark.parametrize("depth", [4, 6])
+def test_bitset_sweep_matches_the_dict_sweep(oracle_cls, depth):
+    """Each side gets its own oracle, so neither reads the other's maps."""
+    sample = random.Random(28).sample(list(sweeps.all_matrices(3)), 24)
+    lines = 0
+    for T in sample:
+        want = dict_oracle_failures(T, oracle_cls(T, depth))
+        assert sweeps.oracle_failures(T, oracle_cls(T, depth)) == want, T.rows
+        lines += len(want)
+    assert (lines > 0) == (oracle_cls is _MismatchedOracle)
+
+
+def idem(T, word, letters):
+    return HullIdempotent(tuple(T.symbols.index(x) for x in word), T.mask_of(letters))
+
+
+def flipped_at(fn, pair, flip):
+    """``fn`` with its answer on the one argument pair replaced."""
+    return lambda e1, e2: flip(fn(e1, e2)) if (e1, e2) == pair else fn(e1, e2)
+
+
+def covers_of_top(T, *covers):
+    """``covers_below`` with the covers of {a,b,c} replaced."""
+    top = T.mask_of("abc")
+    return lambda T_, v: tuple(covers) if v == top else covers_below(T_, v)
+
+
+class TestOracleSweepFails:
+    """Each ``oracle_failures`` message, fired on the diamond by one patch;
+    every line names the idempotents involved."""
+
+    def sweep(self, T):
+        return sweeps.oracle_failures(T, Oracle(T, 6))
+
+    def test_product_mismatch(self, diamond, monkeypatch):
+        # {a,b} * {b,c} is {b}, answered as zero
+        pair = (idem(diamond, "", "ab"), idem(diamond, "", "bc"))
+        monkeypatch.setattr(sweeps, "idem_product", flipped_at(idem_product, pair, lambda p: None))
+        assert self.sweep(diamond) == ["product mismatch: (ε,{a,b}) * (ε,{b,c})"]
+
+    def test_leq_mismatch(self, diamond, monkeypatch):
+        pair = (idem(diamond, "", "b"), idem(diamond, "", "ab"))
+        monkeypatch.setattr(sweeps, "idem_leq", flipped_at(idem_leq, pair, lambda b: not b))
+        assert self.sweep(diamond) == ["leq mismatch: (ε,{b}) vs (ε,{a,b})"]
+
+    def test_cover_not_strictly_below(self, diamond, monkeypatch):
+        top = idem(diamond, "", "abc")
+        monkeypatch.setattr(sweeps, "covers_below", covers_of_top(diamond, top))
+        assert self.sweep(diamond) == ["cover not strictly below: (ε,{a,b,c})"]
+
+    def test_covers_not_an_antichain(self, diamond, monkeypatch):
+        # {b} below both true covers; they interpose between it and the top
+        covers = [idem(diamond, "", v) for v in ("ab", "bc", "b")]
+        monkeypatch.setattr(sweeps, "covers_below", covers_of_top(diamond, *covers))
+        assert self.sweep(diamond) == [
+            "covers not an antichain: (ε,{b}), (ε,{a,b})",
+            "covers not an antichain: (ε,{b}), (ε,{b,c})",
+            "(ε,{a,b}) interposes below {a,b,c}",
+            "(ε,{b,c}) interposes below {a,b,c}",
+        ]
+
+    def test_interposes_below(self, diamond, monkeypatch):
+        bottom = idem(diamond, "", "b")
+        monkeypatch.setattr(sweeps, "covers_below", covers_of_top(diamond, bottom))
+        assert self.sweep(diamond) == [
+            "(ε,{a,b}) interposes below {a,b,c}",
+            "(ε,{b,c}) interposes below {a,b,c}",
+        ]
+
+    def test_a_map_that_is_no_identity_fails_matches(self, diamond, monkeypatch):
+        """theta_a with the images of a and b swapped: the idempotent
+        (ε,{b}), whose class witness is a, b, c, then sends b to a.  The
+        witness of {b,c} is b, c, so (b,{b,c}) composes no theta_a and
+        still matches."""
+        o = Oracle(diamond, 4)
+        theta_a = dict(o.theta(0))
+        theta_a[(0,)], theta_a[(1,)] = theta_a[(1,)], theta_a[(0,)]
+        monkeypatch.setitem(o._theta, 0, theta_a)
+        assert o.idem_map(idem(diamond, "", "b"))[(1,)] == (0,)
+        assert not o.matches(idem(diamond, "", "b"))
+        assert o.matches(idem(diamond, "b", "bc"))
+        fails = sweeps.oracle_failures(diamond, o)
+        assert "Oracle.matches failed: (ε,{b})" in fails
+        assert "Oracle.matches failed: (b,{b,c})" not in fails
+
+    def test_the_diamond_passes(self, diamond):
+        assert self.sweep(diamond) == []
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_oracle_sweep_refuses_depths_below_four(diamond, depth):
+    with pytest.raises(ValueError, match="oracle sweep depth must be >= 4"):
+        sweeps.oracle_failures(diamond, Oracle(diamond, depth))
+    with pytest.raises(ValueError, match="oracle sweep depth must be >= 4"):
+        sweeps.sweep_oracle(diamond, depth)
