@@ -3,8 +3,12 @@
 Vertices are the nonzero D-classes.  For each vertex a and each cover f of
 its representative that is not itself a representative of a class below a,
 there is one edge into a from every vertex below f's class, all carrying
-the label (a, f).  Equal labels force equal ranges by construction, which
-is the strongly-right-resolving property the path algebra relies on.  The
+the label (a, f).  So a graph is fixed by its class order and its labels:
+``LabelledGraph`` stores those two and derives its edges on first use, one
+fan per label, each edge's range being its label's vertex.  Equal labels
+therefore have equal ranges by construction, which is the
+strongly-right-resolving property the path algebra relies on, and a
+decision that stops at the vertex or label count builds no edges.  The
 covers with their guard (``CoreOrder.label_covers``) and each fan's
 sources (the bits of ``CoreOrder.down`` at the cover's class) are read off
 the class order's bitsets in order, so the labels come out in ``Label.key``
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 from .core_order import CoreOrder, CountedOrder, cached_order
 from .hull import HullIdempotent, dclass_rep, fmt_idem
-from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, _bits
+from .shift import CACHE_MAXSIZE, TransitionMatrix, _bits
 
 GREEK = "αβγδζηθικλμνξπρστυφχψω"
 
@@ -53,21 +57,26 @@ class Edge(NamedTuple):
 
 
 class LabelledGraph:
-    """Immutable labelled graph with its vertex order."""
+    """Immutable labelled graph: its vertex order and its labels, from
+    which the edges are derived."""
 
-    def __init__(
-        self,
-        matrix: TransitionMatrix,
-        order: CoreOrder,
-        labels: tuple[Label, ...],
-        edges: tuple[Edge, ...],
-    ):
-        self.matrix = matrix
+    def __init__(self, order: CoreOrder, labels: tuple[Label, ...]):
+        self.matrix: TransitionMatrix = order.matrix
         self.order = order
         self.vertices: tuple[int, ...] = order.classes
         self.labels = labels
-        self.edges = edges
-        self._check()
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """One edge into each label's vertex from every vertex at or below
+        its cover's class (the bits of ``CoreOrder.down`` there), in
+        (label, source) order; built on first use."""
+        classes, index, down = self.order.classes, self.order.index, self.order.down
+        return tuple(
+            Edge(lab.vertex, lab, classes[b])
+            for lab in self.labels
+            for b in _bits(down[index[lab.src_class]])
+        )
 
     @cached_property
     def label_names(self) -> MappingProxyType:
@@ -87,13 +96,6 @@ class LabelledGraph:
             self.order, (((lab.vertex, lab.src_class), lab) for lab in self.labels)
         )
 
-    def _check(self) -> None:
-        """Each edge's label is at its range, so equal labels (equal
-        ``vertex``) have equal ranges: strongly right-resolving."""
-        for e in self.edges:
-            if e.label.vertex != e.range:
-                raise InvariantViolation("edge label disagrees with its range")
-
     def b_set(self, v: int) -> tuple[int, ...]:
         """B_v: every vertex at or below v in the class order."""
         if v not in self.vertices:
@@ -106,14 +108,9 @@ class LabelledGraph:
 
 def build_graph(T: TransitionMatrix) -> LabelledGraph:
     order = cached_order(T)
-    classes, index, down = order.classes, order.index, order.down
-    labels, edges = [], []
-    for a in classes:
-        for f in order.label_covers(a):
-            lab = Label(a, f)
-            labels.append(lab)
-            edges.extend(Edge(a, lab, classes[b]) for b in _bits(down[index[f.vec]]))
-    return LabelledGraph(T, order, tuple(labels), tuple(edges))
+    return LabelledGraph(
+        order, tuple(Label(a, f) for a in order.classes for f in order.label_covers(a))
+    )
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

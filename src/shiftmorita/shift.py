@@ -116,7 +116,10 @@ def parse_matrix(text: str) -> TransitionMatrix:
 
     Line 1: whitespace-separated symbols.  Lines 2..n+1: n characters of
     '0'/'1' each (whitespace inside a row is ignored).  One leading UTF-8
-    byte-order mark is dropped.
+    byte-order mark is dropped.  The layout is checked here; what makes a
+    matrix valid (distinct symbols, nonzero rows) is checked once, by
+    ``TransitionMatrix``, whose ``ValueError`` is raised again as a
+    ``MatrixFormatError`` with the same message.
     """
     lines = text.removeprefix("\ufeff").splitlines()
     while lines and not lines[-1].strip():
@@ -124,13 +127,8 @@ def parse_matrix(text: str) -> TransitionMatrix:
     if not lines or not lines[0].strip():
         raise MatrixFormatError("malformed header: no alphabet line")
     symbols = tuple(lines[0].split())
-    seen = set()
-    for s in symbols:
-        if s in seen:
-            raise MatrixFormatError(f"duplicate symbol {s!r} in header")
-        seen.add(s)
     n = len(symbols)
-    body = [ln for ln in lines[1:]]
+    body = lines[1:]
     if len(body) != n:
         raise MatrixFormatError(
             f"non-square body: expected {n} rows, got {len(body)}"
@@ -150,10 +148,11 @@ def parse_matrix(text: str) -> TransitionMatrix:
                 raise MatrixFormatError(
                     f"invalid character {ch!r} in row {i + 1}"
                 )
-        if mask == 0:
-            raise MatrixFormatError(f"zero row for symbol {symbols[i]!r}")
         rows.append(mask)
-    return TransitionMatrix(symbols, tuple(rows))
+    try:
+        return TransitionMatrix(symbols, tuple(rows))
+    except ValueError as ex:
+        raise MatrixFormatError(str(ex)) from None
 
 
 def word_allowed(T: TransitionMatrix, word: Word) -> bool:

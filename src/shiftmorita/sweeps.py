@@ -27,7 +27,6 @@ from .hull import (
     base_idem,
     enumerate_idems,
     fmt_idem,
-    idem_leq,
     idem_product,
     make_idem,
 )
@@ -78,6 +77,8 @@ def sweep_oracle(T: TransitionMatrix, depth: int = 6) -> list[str]:
       ``Oracle.matches failed`` line.
     - The order and cover checks compared the clipped domains as sets
       before; the bitsets hold the same words, so the subset tests agree.
+    - Each pair's product is computed once; the order check reads it as
+      ``p == e1``, which is how ``idem_leq`` defines e1 <= e2.
     """
     return oracle_failures(T, Oracle(T, depth))
 
@@ -94,8 +95,8 @@ def oracle_failures(T: TransitionMatrix, oracle: Oracle) -> list[str]:
     if oracle.depth < 4:
         raise ValueError("oracle sweep depth must be >= 4")
     fails: list[str] = []
-    idems2 = enumerate_idems(T, 2)
     idems3 = enumerate_idems(T, 3)
+    idems2 = [e for e in idems3 if len(e.word) <= 2]
     for e in idems3:
         if len(e.word) + 2 <= oracle.depth and not oracle.matches(e):
             fails.append(f"Oracle.matches failed: {fmt_idem(T, e)}")
@@ -112,11 +113,12 @@ def oracle_failures(T: TransitionMatrix, oracle: Oracle) -> list[str]:
         d1 = doms[e1]
         for e2 in idems2:
             d2 = doms[e2]
-            if d1 & d2 != doms[idem_product(e1, e2)]:
+            p = idem_product(e1, e2)
+            if d1 & d2 != doms[p]:
                 fails.append(
                     f"product mismatch: {fmt_idem(T, e1)} * {fmt_idem(T, e2)}"
                 )
-            if idem_leq(e1, e2) != (not d1 & ~d2):
+            if (p == e1) != (not d1 & ~d2):  # idem_leq(e1, e2), by its definition
                 fails.append(
                     f"leq mismatch: {fmt_idem(T, e1)} vs {fmt_idem(T, e2)}"
                 )

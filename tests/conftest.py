@@ -67,13 +67,15 @@ def relabelled_matrices(draw, max_classes=40):
 
 
 def reference_build_graph(T):
-    """The graph by the rule as stated: every cover of each vertex's
-    representative (``covers_below``), less the F-type ones whose class is
-    below the vertex, each with one edge from every vertex at or below the
-    cover's class (``CoreOrder.below``)."""
+    """The labels and edges by the rule as stated: every cover of each
+    vertex's representative (``covers_below``), less the F-type ones whose
+    class is below the vertex, each with one edge from every vertex at or
+    below the cover's class (``CoreOrder.below``).  Returned as two tuples,
+    not as a ``LabelledGraph``, so that the graph's derived edges are
+    compared with a tuple built here."""
     from shiftmorita.core_order import cached_order
     from shiftmorita.hull import dclass_rep
-    from shiftmorita.labelled_graph import Edge, Label, LabelledGraph
+    from shiftmorita.labelled_graph import Edge, Label
     from shiftmorita.reference import covers_below
 
     order = cached_order(T)
@@ -85,4 +87,4 @@ def reference_build_graph(T):
             lab = Label(a, f)
             labels.append(lab)
             edges.extend(Edge(a, lab, b) for b in order.below(dclass_rep(f)))
-    return LabelledGraph(T, order, tuple(labels), tuple(edges))
+    return tuple(labels), tuple(edges)

@@ -271,6 +271,29 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("PASS") == 7
 
+    def test_a_failing_sweep_prints_its_lines(self, monkeypatch, capsys):
+        """Every core in a conjugated corner left empty: the one-letter
+        shift's corner at word a fails, and its line is printed under the
+        sweep's FAIL."""
+        from shiftmorita import sweeps
+        from shiftmorita.reference import core_of_at
+
+        monkeypatch.setattr(
+            sweeps, "core_of_at",
+            lambda T, word, vec, *rules: frozenset() if word else core_of_at(T, word, vec, *rules),
+        )
+        assert main(["selftest", "--max-letters", "1", "--random-count", "0"]) == 1
+        assert capsys.readouterr().out == (
+            "oracle: PASS (1 matrices)\n"
+            "order: PASS (1 matrices)\n"
+            "conjugate-cores: FAIL (1 matrices)\n"
+            "  conjugated core differs at word a, class {a}\n"
+            "lgis-axioms: PASS (1 matrices)\n"
+            "coherence-cd: PASS (1 matrices)\n"
+            "decision-pairs: PASS (0 pairs, 0 equivalent)\n"
+            "symmetry: PASS (0 samples)\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, message",
         [

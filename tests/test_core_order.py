@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
-from shiftmorita.core_order import build_order, cached_order
-from shiftmorita.hull import idem_leq
+from shiftmorita.core_order import CoreOrder, build_order, cached_order
+from shiftmorita.hull import HullIdempotent, idem_leq
 from shiftmorita.labelled_graph import build_graph, cached_graph
 from shiftmorita.reference import check_meet_identity, core_of_at, covers_below
 from shiftmorita.shift import (
@@ -92,6 +94,23 @@ class TestCore:
         with pytest.raises(ValueError):
             core_of_at(diamond, (0,), diamond.mask_of("c"))
 
+    def test_rule_3_refuses_a_cover_outside_the_seed_layer(self, diamond, monkeypatch):
+        """The top's covers given as (c,{a,b}) and (c,{b,c}): incomparable,
+        with the nonzero product (c,{b}), so rule (3) would admit them, one
+        letter deeper than the seed."""
+        from shiftmorita import reference
+
+        top = diamond.mask_of("abc")
+        longer = (HullIdempotent((2,), diamond.mask_of("ab")),
+                  HullIdempotent((2,), diamond.mask_of("bc")))
+        real = reference.covers_below_at
+        monkeypatch.setattr(
+            reference, "covers_below_at",
+            lambda T, word, vec: longer if (word, vec) == ((), top) else real(T, word, vec),
+        )
+        with pytest.raises(InvariantViolation, match="core rule \\(3\\) produced an idempotent"):
+            core_of_at(diamond, (), top)
+
     def test_conjugated_corner_mirrors_base(self, diamond):
         from shiftmorita.hull import make_idem
 
@@ -170,6 +189,20 @@ class TestMeets:
 
     def test_meet_identity_diamond(self, diamond):
         assert check_meet_identity(diamond, build_order(diamond))
+
+    def test_meet_identity_refuses_a_meet_without_a_lower_bound(self):
+        """{a} and {b} have no common lower bound, yet this meet answers {a}."""
+
+        class MeetsEverything(CoreOrder):
+            def meet(self, a, b):
+                m = super().meet(a, b)
+                return a if m is None else m
+
+        T = mx("a b\n10\n01")
+        order = build_order(T)
+        assert check_meet_identity(T, order)
+        fields = {f.name: getattr(order, f.name) for f in dataclasses.fields(CoreOrder)}
+        assert not check_meet_identity(T, MeetsEverything(**fields))
 
     def test_meet_identity_full_shift(self):
         T = mx("a b\n11\n11")

@@ -160,7 +160,7 @@ class TestIsomorphism:
             (),
         )
         assert order.pairs == frozenset((v, v) for v in classes)
-        G = LabelledGraph(None, order, (), ())
+        G = LabelledGraph(order, ())
         w = graphs_isomorphic_ordered(G, G)
         assert w is not None
         assert dict(w.vertex_map) == {v: v for v in classes}
@@ -231,7 +231,7 @@ class TestVerifyMatchesReference:
     def test_order_is_checked(self, diamond, diamond_graph):
         # a vertex swap that moves no edge: only the order check can catch
         # it, here on an edgeless copy of the diamond
-        bare = LabelledGraph(diamond, diamond_graph.order, (), ())
+        bare = LabelledGraph(diamond_graph.order, ())
         w = graphs_isomorphic_ordered(bare, bare)
         vm = dict(w.vertex_map)
         a, top = diamond.mask_of("ab"), diamond.mask_of("abc")
@@ -576,6 +576,24 @@ class TestGraphCache:
             assert "pairs" not in vars(order) and "cores" not in vars(order)
             assert (order.classes[0], order.classes[-1]) in order.pairs
             assert "pairs" in vars(order)
+
+
+    @pytest.mark.parametrize("T1, T2, certificate", [
+        (TransitionMatrix(("p5",), (1,)), TransitionMatrix(("p6", "q6"), (0b01, 0b10)),
+         "vertex count differs: 1 vs 2"),
+        (TransitionMatrix(("p7",), (1,)), TransitionMatrix(("p8", "q8"), (0b11, 0b11)),
+         "label count differs: 1 vs 2"),
+    ], ids=["vertex count", "label count"])
+    def test_count_decided_verdict_builds_no_edges(self, T1, T2, certificate):
+        """The edges are derived on first use, and neither the search nor
+        the certificate reads them before the vertex and label counts agree:
+        both fresh cached graphs stay without them."""
+        v = decide_morita(T1, T2)
+        assert not v.equivalent and v.certificate == certificate
+        for T in (T1, T2):
+            assert "edges" not in vars(cached_graph(T))
+        assert len(cached_graph(T1).edges) == 1
+        assert "edges" in vars(cached_graph(T1))
 
 
 class TestCertificate:

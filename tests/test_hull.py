@@ -8,13 +8,14 @@ from shiftmorita.hull import (
     dclass_rep,
     enumerate_idems,
     fclass_witness,
+    fmt_idem,
     idem_leq,
     idem_product,
     make_idem,
 )
 from shiftmorita.oracle import Oracle, compose
 from shiftmorita.reference import covers_below, covers_below_at
-from shiftmorita.shift import f_classes
+from shiftmorita.shift import InvariantViolation, f_classes
 
 from conftest import mx
 from test_shift import matrices
@@ -52,6 +53,19 @@ class TestCanonicalForm:
             for x in letters:
                 acc &= diamond.rows[x]
             assert acc == v
+
+    def test_no_witness_for_a_vector_that_is_no_class(self, diamond):
+        # the rows holding a are those of a and c, whose AND is {a,b}
+        with pytest.raises(ValueError, match="vector 1 is not a follower class"):
+            fclass_witness(diamond, diamond.mask_of("a"))
+
+    def test_zero_vector_has_no_base_idempotent(self, diamond):
+        with pytest.raises(InvariantViolation, match="the zero vector has no base idempotent"):
+            base_idem(diamond, 0)
+
+    def test_zero_is_formatted_as_0(self, diamond):
+        assert fmt_idem(diamond, None) == "0"
+        assert fmt_idem(diamond, idem(diamond, "b", "bc")) == "(b,{b,c})"
 
 
 class TestProduct:
@@ -128,6 +142,11 @@ class TestCovers:
     def test_unknown_class_rejected(self, diamond):
         with pytest.raises(ValueError):
             covers_below(diamond, diamond.mask_of("a"))
+
+    def test_vector_outside_the_last_letters_row_rejected(self, diamond):
+        # {b,c} is a class, but c may not follow a
+        with pytest.raises(ValueError, match="vector not contained in followers of final letter"):
+            covers_below_at(diamond, (0,), diamond.mask_of("bc"))
 
     def test_antichain_and_strictness(self, diamond):
         for v in f_classes(diamond):

@@ -133,6 +133,21 @@ def multiply_raw(eng, raw, x, y):
     return None
 
 
+class TestElement:
+    def test_middle_outside_a_source_set_refused(self, diamond, diamond_graph, eng):
+        # alpha's source class is {a,b}, which {b,c} is not inside
+        lx = named_labels(diamond, diamond_graph)
+        with pytest.raises(ValueError, match="middle set not contained in a source set"):
+            eng.element((lx["alpha"],), diamond.mask_of("bc"), ())
+
+    def test_path_that_is_no_labelled_path_refused(self, diamond, diamond_graph, eng):
+        # gamma's range {b,c} is not inside alpha's source {a,b}, so gamma
+        # may not follow alpha; the middle {b} is inside gamma's source
+        lx = named_labels(diamond, diamond_graph)
+        with pytest.raises(ValueError, match="invalid labelled path"):
+            eng.element((lx["alpha"], lx["gamma"]), diamond.mask_of("b"), ())
+
+
 class TestMultiply:
     def test_equal_middles_intersect(self, diamond, diamond_graph, eng):
         lx = named_labels(diamond, diamond_graph)
@@ -535,6 +550,15 @@ class TestTableSizeGuard:
 
 
 class TestProductTables:
+    def test_more_paths_than_a_key_field_holds_overflow(self, monkeypatch, diamond_graph):
+        """With one-bit key fields, path ids 0 and 1 fit and the third
+        path listed does not."""
+        eng = LgisEngine(diamond_graph)
+        elems = eng.enumerate_elements(1)
+        monkeypatch.setattr(lgis, "_MASK", 1)
+        with pytest.raises(OverflowError, match="too many paths for a packed element key"):
+            ProductTables(eng, elems)
+
     @pytest.mark.parametrize(
         "T", list(sweeps.all_matrices(2)), ids=lambda T: str(T.rows)
     )

@@ -220,8 +220,9 @@ class TestMatrixShape:
         assert TransitionMatrix(("a", "b"), (0b11, 0b10)).n == 2
 
     def test_rows_must_be_nonzero(self):
-        """A zero row lets every word die out; ``parse_matrix`` refuses it
-        with its own ``MatrixFormatError`` before construction."""
+        """A zero row lets every word die out; the constructor refuses it,
+        and ``parse_matrix`` raises that refusal again as a
+        ``MatrixFormatError``."""
         with pytest.raises(ValueError, match="zero row for symbol 'b'") as ex:
             TransitionMatrix(("a", "b"), (0b10, 0))
         assert not isinstance(ex.value, MatrixFormatError)

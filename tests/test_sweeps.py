@@ -4,7 +4,9 @@ message that names the idempotents, or the stage, the matrix rows and the
 invariant.  The five order mutants break a law that ``sweep_order`` no
 longer checks on its own (its docstring has the proofs); each is caught by
 the kept check the proof names.  The oracle sweep's bitset domains are
-also checked against the dict-composing sweep they replaced."""
+also checked against the dict-composing sweep they replaced.  The
+conjugate-core, decision-pair and symmetry sweeps each fail with their
+exact lines when one collaborator is patched to answer wrongly."""
 
 import dataclasses
 import random
@@ -14,6 +16,7 @@ import pytest
 from shiftmorita import smorita, sweeps
 from shiftmorita.cli import _MismatchedOracle
 from shiftmorita.core_order import CoreOrder, cached_order
+from shiftmorita.decide import Verdict
 from shiftmorita.hull import (
     HullIdempotent,
     base_idem,
@@ -23,9 +26,11 @@ from shiftmorita.hull import (
     idem_product,
 )
 from shiftmorita.oracle import Oracle, compose
-from shiftmorita.reference import covers_below
+from shiftmorita.reference import core_of_at, covers_below
 from shiftmorita.shift import f_classes
 from shiftmorita.smorita import CDSet, SIdem, coherent_check
+
+from conftest import mx
 
 # the diamond's classes {b}, {a,b}, {b,c}, {a,b,c} by index
 B, AB, BC, ABC = range(4)
@@ -347,9 +352,14 @@ class TestOracleSweepFails:
         assert self.sweep(diamond) == ["product mismatch: (ε,{a,b}) * (ε,{b,c})"]
 
     def test_leq_mismatch(self, diamond, monkeypatch):
+        # {b} * {a,b} is {b}, answered as {a,b}: the order is read off the
+        # product, so {b} <= {a,b} fails along with the product
         pair = (idem(diamond, "", "b"), idem(diamond, "", "ab"))
-        monkeypatch.setattr(sweeps, "idem_leq", flipped_at(idem_leq, pair, lambda b: not b))
-        assert self.sweep(diamond) == ["leq mismatch: (ε,{b}) vs (ε,{a,b})"]
+        monkeypatch.setattr(sweeps, "idem_product", flipped_at(idem_product, pair, lambda p: pair[1]))
+        assert self.sweep(diamond) == [
+            "product mismatch: (ε,{b}) * (ε,{a,b})",
+            "leq mismatch: (ε,{b}) vs (ε,{a,b})",
+        ]
 
     def test_cover_not_strictly_below(self, diamond, monkeypatch):
         top = idem(diamond, "", "abc")
@@ -401,3 +411,64 @@ def test_oracle_sweep_refuses_depths_below_four(diamond, depth):
         sweeps.oracle_failures(diamond, Oracle(diamond, depth))
     with pytest.raises(ValueError, match="oracle sweep depth must be >= 4"):
         sweeps.sweep_oracle(diamond, depth)
+
+
+def corner_cores_emptied(T, word, vec, rule_order=(2, 3, 4)):
+    """``core_of_at`` with every core in a conjugated corner left empty."""
+    return frozenset() if word else core_of_at(T, word, vec, rule_order)
+
+
+def test_conjugate_core_sweep_names_each_corner(monkeypatch):
+    monkeypatch.setattr(sweeps, "core_of_at", corner_cores_emptied)
+    assert sweeps.sweep_conjugate_cores(mx("a b\n10\n01")) == [
+        "conjugated core differs at word a, class {a}",
+        "conjugated core differs at word b, class {b}",
+    ]
+    monkeypatch.undo()
+    assert sweeps.sweep_conjugate_cores(mx("a b\n10\n01")) == []
+
+
+class TestDecisionPairSweepFails:
+    """Three matrices: (3, 2), its letter-swapped copy (1, 3), and the
+    one-letter full shift, which has fewer classes than either.  Only the
+    first pair is equivalent, so each patch fires once, on it."""
+
+    @pytest.fixture
+    def mats(self):
+        T = mx("a b\n11\n01")
+        return [T, sweeps.permuted_copy(T, [1, 0]), mx("a\n1")]
+
+    @pytest.mark.parametrize("attr, replacement, line", [
+        ("verify_witness", lambda G1, G2, w: False, "unsound witness for (3, 2) vs (1, 3)"),
+        ("brute_force_isomorphic", lambda G1, G2: False,
+         "search vs brute force disagree: (3, 2) (1, 3)"),
+        ("cd_isomorphic", lambda cd1, cd2: None, "graph vs CD verdict disagree: (3, 2) (1, 3)"),
+    ], ids=["unsound witness", "brute force", "CD verdict"])
+    def test_each_disagreement_is_named(self, mats, monkeypatch, attr, replacement, line):
+        monkeypatch.setattr(sweeps, attr, replacement)
+        assert sweeps.sweep_decision_pairs(mats) == ([line], 3, 1)
+
+    def test_the_three_pass(self, mats):
+        assert sweeps.sweep_decision_pairs(mats) == ([], 3, 1)
+
+
+class TestSymmetrySweepFails:
+    """Two samples at seed 1: rows (3, 1) under the identity permutation,
+    and the one-letter full shift."""
+
+    def test_a_copy_decided_inequivalent(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "decide_morita", lambda T1, T2: Verdict(False, None, "x"))
+        assert sweeps.sweep_symmetry(2, 1) == [
+            "permuted copy not equivalent: (3, 1) perm [0, 1]",
+            "permuted copy not equivalent: (1,) perm [0]",
+        ]
+
+    def test_a_witness_that_fails_verification(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "verify_witness", lambda G1, G2, w: False)
+        assert sweeps.sweep_symmetry(2, 1) == [
+            "witness failed verification: (3, 1) perm [0, 1]",
+            "witness failed verification: (1,) perm [0]",
+        ]
+
+    def test_the_samples_pass(self):
+        assert sweeps.sweep_symmetry(2, 1) == []
