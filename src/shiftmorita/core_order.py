@@ -113,10 +113,11 @@ class CountedOrder:
     isomorphism search reads it: down-sets as bitsets over class indices;
     per class, the group sizes at it by c (``at``) and into it by v
     (``into``) as (class index, n) pairs; and each class's profile, an
-    invariant of count-preserving isomorphisms.  ``groups`` keeps each
-    group's items in the order given, for ``carry``.  Outside the tests,
-    only ``LabelledGraph.counted_order`` builds one, over the graph's
-    labels, and only the graph search reads it.
+    invariant of count-preserving isomorphisms, with ``sorted_profile``
+    their multiset.  ``groups`` keeps each group's items in the order
+    given, for ``carry``.  Outside the tests, only
+    ``LabelledGraph.counted_order`` builds one, over the graph's labels,
+    and only the graph search and its certificate read it.
 
     Every class must come after the classes below it, so that fixing the
     classes in index order fixes each down-set with its top; ``ValueError``
@@ -133,30 +134,35 @@ class CountedOrder:
         for key, item in items:
             grouped.setdefault(key, []).append(item)
         self.groups = {key: tuple(group) for key, group in grouped.items()}
-        up = [0] * len(classes)
-        for b, db in enumerate(down):
-            for a in _bits(db):
-                up[a] |= 1 << b
         at: list[list[tuple[int, int]]] = [[] for _ in classes]
         into: list[list[tuple[int, int]]] = [[] for _ in classes]
+        # sizes[v]: |down(c)| of each label at v; total[c]: labels into c
+        sizes: list[list[int]] = [[] for _ in classes]
+        total = [0] * len(classes)
         for (v, c), group in grouped.items():
-            at[index[v]].append((index[c], len(group)))
-            into[index[c]].append((index[v], len(group)))
+            i, j, n = index[v], index[c], len(group)
+            at[i].append((j, n))
+            into[j].append((i, n))
+            sizes[i] += [down[j].bit_count()] * n
+            total[j] += n
         self.at = [tuple(x) for x in at]
         self.into = [tuple(y) for y in into]
-        into_total = [sum(n for _, n in y) for y in into]
+        # a label into c has an edge out of each class below c
+        above, out = [0] * len(classes), [0] * len(classes)
+        for c, dc in enumerate(down):
+            for a in _bits(dc):
+                above[a] += 1
+                out[a] += total[c]
         # (below, above, edges out of v, |down(class)| of each label at v)
         self.profile = [
-            (
-                down[i].bit_count(),
-                up[i].bit_count(),
-                sum(into_total[j] for j in _bits(up[i])),
-                tuple(sorted(
-                    down[c].bit_count() for c, n in at[i] for _ in range(n)
-                )),
-            )
-            for i in range(len(classes))
+            (d.bit_count(), above[i], out[i], tuple(sorted(sizes[i])))
+            for i, d in enumerate(down)
         ]
+
+    @cached_property
+    def sorted_profile(self) -> list[tuple]:
+        """The profiles as a sorted list: their multiset, compared whole."""
+        return sorted(self.profile)
 
     def carry(self, other: "CountedOrder", sigma: dict[int, int]) -> dict:
         """The item bijection over a class bijection sigma: each group at

@@ -11,9 +11,16 @@ number of labels at the vertex whose cover lies in that class.
 ``CountedOrder``s, pruned by vertex profiles and checked on down-sets
 only; each graph's ``counted_order`` is built once per graph.  The first
 bijection it yields decides: ``CountedOrder.carry`` takes the label groups
-along it, and every such map extends to a witness, re-verified with each
-edge's image derived from the vertex and label maps, so a failure to
-extend is an ``InvariantViolation``.
+along it, and every such map extends to a witness, so a failure to extend
+is an ``InvariantViolation``.
+
+No decision builds an edge.  The edge count is the sum of the labels' fan
+sizes (``LabelledGraph.edge_count``).  The witness is re-verified fan by
+fan: the edges are exactly one fan per label, from the down-set of its
+cover class into its vertex, so once the vertex map carries each down-set
+onto the down-set of its image, a label's fan goes onto its image's fan
+exactly when the vertex map takes the label's vertex and cover class to
+those of the image (``verify_witness`` has the proof).
 
 ``decide_morita`` takes both graphs from ``labelled_graph.cached_graph``, so
 that comparing many matrices against a few builds each graph once.  Under
@@ -22,7 +29,8 @@ that comparing many matrices against a few builds each graph once.  Under
 map the guarded covers, and the map must pass the full product table.
 A negative verdict carries the first invariant that differs; the vertex
 profiles behind it are built only when the vertex, label and edge
-counts agree.
+counts agree, and each graph computes its edge count and sorted profiles
+once.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from typing import Iterator
 
 from .core_order import CountedOrder
 # build_graph stays a module attribute here, where bench/spans.py wraps it
-from .labelled_graph import Edge, Label, LabelledGraph, build_graph, cached_graph
+from .labelled_graph import Label, LabelledGraph, build_graph, cached_graph
 from .shift import InvariantViolation, TransitionMatrix, _bits
 
 
@@ -133,9 +141,24 @@ def _extend_witness(
 
 def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
     """Full independent re-verification of all isomorphism conditions: the
-    vertex and label maps are bijections, the edge images (pi0 range,
-    pi2 label, pi0 source) are distinct and are exactly G2's edges, and the
-    vertex map carries each down-set onto the down-set of the image."""
+    vertex and label maps are bijections, the vertex map carries each
+    down-set onto the down-set of the image, and each label's fan goes onto
+    its image's fan, without building an edge.
+
+    The edges are exactly the fans: one edge into a label's vertex from
+    each class of the down-set of its cover class.  Given the down-set
+    check, pi0 carries that down-set onto the down-set of its image, and
+    down-sets are equal only for equal classes.  So the images (pi0 range,
+    pi2 label, pi0 source) of a label's fan are exactly the fan of its
+    image when, and only when, pi0 takes the label's vertex and cover
+    class to those of the image (each fan is nonempty, as its cover class
+    lies in it).  If that holds for every label, the image fans cover G2's
+    edges, as pi2 is a bijection, and all images are distinct, as pi0 and
+    pi2 are injective.  Conversely, if the images are exactly G2's edges,
+    the edges of G2 with a label's image on them, its image's fan, are the
+    images of that label's fan, since no other edge maps to that label.
+    So this is the test that the edge images are distinct and are exactly
+    G2's edges."""
     pi0 = dict(w.vertex_map)
     pi2 = dict(w.label_map)
     if sorted(pi0) != sorted(G1.vertices) or sorted(pi0.values()) != sorted(
@@ -146,9 +169,6 @@ def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
         pi2.values(), key=Label.key
     ) != list(G2.labels):
         return False
-    images = {Edge(pi0[e.range], pi2[e.label], pi0[e.source]) for e in G1.edges}
-    if len(images) != len(G1.edges) or images != set(G2.edges):
-        return False
     o1, o2 = G1.order, G2.order
     image_bit = [1 << o2.index[pi0[a]] for a in o1.classes]
     for i, a in enumerate(o1.classes):
@@ -157,7 +177,10 @@ def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
             image |= image_bit[c]
         if image != o2.down[o2.index[pi0[a]]]:
             return False
-    return True
+    return all(
+        pi0[a.vertex] == b.vertex and pi0[a.src_class] == b.src_class
+        for a, b in pi2.items()
+    )
 
 
 def graphs_isomorphic_ordered(
@@ -168,25 +191,26 @@ def graphs_isomorphic_ordered(
     decides: every such map extends (``_extend_witness``)."""
     if len(G1.vertices) != len(G2.vertices):
         return None
-    if len(G1.labels) != len(G2.labels) or len(G1.edges) != len(G2.edges):
+    if len(G1.labels) != len(G2.labels) or G1.edge_count != G2.edge_count:
         return None
     pi0 = next(order_isomorphisms(G1.counted_order, G2.counted_order), None)
     return None if pi0 is None else _extend_witness(G1, G2, pi0)
 
 
+# The invariants a certificate names, in order, each read off values that
+# the graph or its counted order computes once
+_INVARIANTS = (
+    ("vertex count", lambda G: len(G.vertices)),
+    ("label count", lambda G: len(G.labels)),
+    ("edge count", lambda G: G.edge_count),
+    ("vertex profiles", lambda G: G.counted_order.sorted_profile),
+)
+
+
 def _certificate(G1: LabelledGraph, G2: LabelledGraph) -> str:
     """First invariant that distinguishes the graphs, checked in order and
     each computed only once the ones before it agree."""
-    checks = (
-        ("vertex count", lambda G: len(G.vertices)),
-        ("label count", lambda G: len(G.labels)),
-        ("edge count", lambda G: len(G.edges)),
-        (
-            "vertex profiles",
-            lambda G: sorted(G.counted_order.profile),
-        ),
-    )
-    for name, measure in checks:
+    for name, measure in _INVARIANTS:
         x, y = measure(G1), measure(G2)
         if x != y:
             return f"{name} differs: {x} vs {y}"

@@ -7,8 +7,7 @@ the label (a, f).  So a graph is fixed by its class order and its labels:
 ``LabelledGraph`` stores those two and derives its edges on first use, one
 fan per label, each edge's range being its label's vertex.  Equal labels
 therefore have equal ranges by construction, which is the
-strongly-right-resolving property the path algebra relies on, and a
-decision that stops at the vertex or label count builds no edges.  The
+strongly-right-resolving property the path algebra relies on.  The
 covers with their guard (``CoreOrder.label_covers``) and each fan's
 sources (the bits of ``CoreOrder.down`` at the cover's class) are read off
 the class order's bitsets in order, so the labels come out in ``Label.key``
@@ -17,6 +16,11 @@ order and the edges in (label, source) order without a sort.  ``Label`` and
 Each graph's ``counted_order`` groups its labels by (range vertex, cover
 class) for the isomorphism search and the witness; the combinatorial
 data's guarded covers are these labels, and its check takes the witness.
+
+No decision builds an edge: the edge count is the sum of the fans' sizes
+(``edge_count``), and the witness check reads each fan as its label's
+vertex and cover class (``decide.verify_witness``).  The edges are built
+only for ``to_dot``, the CLI's JSON and ``reference.raw_of``.
 
 ``cached_graph`` keeps the graph of each recent matrix, so that repeated
 decisions against one matrix build its graph once.  A graph is shared by
@@ -77,6 +81,13 @@ class LabelledGraph:
             for lab in self.labels
             for b in _bits(down[index[lab.src_class]])
         )
+
+    @cached_property
+    def edge_count(self) -> int:
+        """``len(self.edges)``, the sum of the fans' sizes, built without an
+        edge."""
+        down, index = self.order.down, self.order.index
+        return sum(down[index[lab.src_class]].bit_count() for lab in self.labels)
 
     @cached_property
     def label_names(self) -> MappingProxyType:

@@ -3,8 +3,11 @@ import io
 import json
 import os
 import random
+import runpy
+import sys
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -319,6 +322,19 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_run_as_main_exits_with_the_code_of_main(self, matrix_file, monkeypatch, capsys):
+        """``python -m shiftmorita.cli``, run in this process: the module's
+        ``__main__`` block exits with ``main()``'s code, 0 for the diamond
+        against itself."""
+        monkeypatch.setattr(sys, "argv", ["shiftmorita.cli", "decide", matrix_file, matrix_file])
+        with warnings.catch_warnings():
+            # the module is imported already; run_module warns that it runs it anew
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("shiftmorita.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("EQUIVALENT")
 
     def test_invariant_violation_exit_3(self, matrix_file, monkeypatch, capsys):
         import shiftmorita.cli as cli

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from shiftmorita.shift import (
     CACHE_MAXSIZE,
     InvariantViolation,
     TransitionMatrix,
+    _bits,
     f_classes,
     natural_leq,
 )
@@ -266,6 +268,39 @@ class TestKernelMatchesReference:
                 tuple("abcde"[:n]), tuple(full & ~(1 << i) for i in range(n))
             )
         )
+
+
+def up_set_profile(s):
+    """``CountedOrder.profile`` as it was first written: each class's up-set
+    as a bitset, and its edges out as the sum of the labels into each
+    class of that up-set."""
+    up = [0] * len(s.classes)
+    for b, db in enumerate(s.down):
+        for a in _bits(db):
+            up[a] |= 1 << b
+    into_total = [sum(n for _, n in y) for y in s.into]
+    return [
+        (
+            s.down[i].bit_count(),
+            up[i].bit_count(),
+            sum(into_total[j] for j in _bits(up[i])),
+            tuple(sorted(s.down[c].bit_count() for c, n in s.at[i] for _ in range(n))),
+        )
+        for i in range(len(s.classes))
+    ]
+
+
+class TestCountedProfile:
+    def test_matches_the_up_set_sums(self):
+        """The profile pushed down the down-sets equals the up-set sums on
+        every matrix with at most 3 letters and the seeded sample, and its
+        third component counts the edges out of each class."""
+        for T in list(all_matrices(3)) + seeded_matrices():
+            G = build_graph(T)
+            s = G.counted_order
+            assert s.profile == up_set_profile(s), T.rows
+            out = Counter(e.source for e in G.edges)
+            assert [p[2] for p in s.profile] == [out[v] for v in s.classes], T.rows
 
 
 class TestBitsetLeq:

@@ -216,6 +216,41 @@ class TestVerifyMatchesReference:
                         assert reference_verify_witness(G1, G2, same)
         assert pairs > 3000 and swaps > 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(relabelled_matrices())
+    def test_relabelled_pairs_past_three_letters(self, case):
+        """On a 4-6-letter matrix and a relabelled copy, the found witness,
+        each tampered copy and a swap inside one label group get the same
+        answer from the fan check and the edge-by-edge reference."""
+        T, perm = case
+        G1, G2 = build_graph(T), build_graph(permuted_copy(T, perm))
+        w = graphs_isomorphic_ordered(G1, G2)
+        assert verify_witness(G1, G2, w)
+        for x in (w, *tampered(G1, w), swapped_in_one_group(w)):
+            if x is not None:
+                assert verify_witness(G1, G2, x) == reference_verify_witness(G1, G2, x)
+
+    @pytest.mark.parametrize(
+        "same, other", [("src_class", "vertex"), ("vertex", "src_class")],
+        ids=["range mismatch", "fan mismatch"],
+    )
+    def test_a_label_sent_off_its_fan_is_rejected(self, same, other):
+        """The images of two labels swapped that share their cover class
+        but not their vertex (the fan lands at the wrong range), or their
+        vertex but not their cover class (the fan has the wrong sources):
+        both checks reject it, though both maps stay bijections."""
+        G = build_graph(mx("a b\n10\n11"))
+        w = graphs_isomorphic_ordered(G, G)
+        a, b = next(
+            (a, b) for a in G.labels for b in G.labels
+            if getattr(a, same) == getattr(b, same) and getattr(a, other) != getattr(b, other)
+        )
+        lm = dict(w.label_map)
+        lm[a], lm[b] = lm[b], lm[a]
+        bad = dataclasses.replace(w, label_map=tuple(lm.items()))
+        assert not verify_witness(G, G, bad)
+        assert not reference_verify_witness(G, G, bad)
+
     def test_maps_that_are_not_bijections_rejected(self, diamond_graph):
         w = graphs_isomorphic_ordered(diamond_graph, diamond_graph)
         (v0, _), (_, x1) = w.vertex_map[:2]
@@ -521,6 +556,31 @@ class TestRelabelledPastThreeLetters:
             assert verify_witness(G1, G2, v.witness)
 
 
+# A pair of matrix texts decided at each stage, with its certificate (None
+# for EQUIVALENT)
+VERDICTS = {
+    "vertex count": ("a\n1", "a b\n10\n01", "vertex count differs: 1 vs 2"),
+    "label count": ("a\n1", "a b\n11\n11", "label count differs: 1 vs 2"),
+    "edge count": (
+        "a b c\n110\n101\n111",
+        "a b c d\n1000\n1100\n1010\n1110",
+        "edge count differs: 8 vs 5",
+    ),
+    "vertex profiles": (
+        "a b\n10\n01",
+        "a b c\n100\n100\n010",
+        "vertex profiles differs: [(1, 1, 1, (1,)), (1, 1, 1, (1,))]"
+        " vs [(1, 1, 0, (1,)), (1, 1, 2, (1,))]",
+    ),
+    "search": (
+        "a b\n10\n01",
+        "a b\n01\n10",
+        "no order-compatible vertex bijection extends to an isomorphism",
+    ),
+    "equivalent": (DIAMOND_TEXT, "a b c\n111\n110\n011", None),
+}
+
+
 class TestGraphCache:
     def test_repeated_decides_build_each_graph_once(self):
         """Bucketing-style traffic: several matrices, each decided twice
@@ -578,47 +638,35 @@ class TestGraphCache:
             assert "pairs" in vars(order)
 
 
-    @pytest.mark.parametrize("T1, T2, certificate", [
-        (TransitionMatrix(("p5",), (1,)), TransitionMatrix(("p6", "q6"), (0b01, 0b10)),
-         "vertex count differs: 1 vs 2"),
-        (TransitionMatrix(("p7",), (1,)), TransitionMatrix(("p8", "q8"), (0b11, 0b11)),
-         "label count differs: 1 vs 2"),
-    ], ids=["vertex count", "label count"])
-    def test_count_decided_verdict_builds_no_edges(self, T1, T2, certificate):
-        """The edges are derived on first use, and neither the search nor
-        the certificate reads them before the vertex and label counts agree:
-        both fresh cached graphs stay without them."""
-        v = decide_morita(T1, T2)
-        assert not v.equivalent and v.certificate == certificate
+    @pytest.mark.parametrize(
+        "stage, cross_check",
+        [(stage, c) for c in (False, True) for stage in VERDICTS],
+        ids=[stage + ", cross-checked" * c for c in (False, True) for stage in VERDICTS],
+    )
+    def test_count_decided_verdict_builds_no_edges(self, stage, cross_check):
+        """No decision builds an edge: whichever invariant decides, or the
+        search, plain or cross-checked, both fresh cached graphs stay
+        without them.  The letters are renamed after the case, so that
+        both graphs are built here."""
+        text1, text2, certificate = VERDICTS[stage]
+        tag = f"{stage.replace(' ', '')}:{cross_check}"
+        T1, T2 = (
+            TransitionMatrix(tuple(f"{s}:{tag}:{i}" for s in T.symbols), T.rows)
+            for i, T in enumerate((mx(text1), mx(text2)))
+        )
+        v = decide_morita(T1, T2, cross_check=cross_check)
+        assert v.equivalent == (certificate is None) and v.certificate == certificate
         for T in (T1, T2):
             assert "edges" not in vars(cached_graph(T))
-        assert len(cached_graph(T1).edges) == 1
-        assert "edges" in vars(cached_graph(T1))
+        G = cached_graph(T1)
+        assert len(G.edges) == G.edge_count
+        assert "edges" in vars(G)
 
 
 class TestCertificate:
     @pytest.mark.parametrize(
         "text1, text2, certificate",
-        [
-            ("a\n1", "a b\n10\n01", "vertex count differs: 1 vs 2"),
-            ("a\n1", "a b\n11\n11", "label count differs: 1 vs 2"),
-            (
-                "a b c\n110\n101\n111",
-                "a b c d\n1000\n1100\n1010\n1110",
-                "edge count differs: 8 vs 5",
-            ),
-            (
-                "a b\n10\n01",
-                "a b c\n100\n100\n010",
-                "vertex profiles differs: [(1, 1, 1, (1,)), (1, 1, 1, (1,))]"
-                " vs [(1, 1, 0, (1,)), (1, 1, 2, (1,))]",
-            ),
-            (
-                "a b\n10\n01",
-                "a b\n01\n10",
-                "no order-compatible vertex bijection extends to an isomorphism",
-            ),
-        ],
+        [v for v in VERDICTS.values() if v[2] is not None],
     )
     def test_first_differing_invariant(self, text1, text2, certificate):
         T1, T2 = mx(text1), mx(text2)

@@ -151,10 +151,12 @@ class TestBuildOrder:
 class TestBitsetLabelCovers:
     def test_matches_the_covers_and_filter_reference(self):
         """Labels and edges, in order, equal those of the reference on every
-        matrix with at most 3 letters and the seeded 4-7-letter sample."""
+        matrix with at most 3 letters and the seeded 4-7-letter sample, and
+        the edge count read off the labels is the number of edges."""
         for T in list(all_matrices(3)) + seeded_matrices():
             G, (labels, edges) = build_graph(T), reference_build_graph(T)
             assert G.labels == labels, T.rows
+            assert G.edge_count == len(edges), T.rows
             assert G.edges == edges, T.rows
 
     @settings(max_examples=150, deadline=None)
