@@ -22,8 +22,16 @@ onto the down-set of its image, a label's fan goes onto its image's fan
 exactly when the vertex map takes the label's vertex and cover class to
 those of the image (``verify_witness`` has the proof).
 
-``decide_morita`` takes both graphs from ``labelled_graph.cached_graph``, so
-that comparing many matrices against a few builds each graph once.  Under
+``decide_morita`` first compares the two class counts, ``len(f_classes(T))``,
+and a difference decides with no order, graph or CD built.  The verdict is
+exact: ``build_order`` takes ``classes = f_classes(T)`` and
+``LabelledGraph.vertices`` is ``order.classes``, so the count is the graph's
+vertex count, the first invariant the certificate reads, and the search
+rejects on it too.  It reads nothing the order computes, so it leaves no
+check of the order unmade; those run on every matrix in
+``sweeps.sweep_order`` and the acceptance tests.  When the counts agree it
+takes both graphs from ``labelled_graph.cached_graph``, so that comparing
+many matrices against a few builds each graph once.  Under
 ``cross_check`` the witness is carried on to the combinatorial data
 (``smorita``): its vertex map moves the class representatives, its label
 map the guarded covers, and the map must pass the full product table.
@@ -38,6 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+# f_classes is looked up on core_order at each call, where bench/spans.py
+# wraps it
+from . import core_order
 from .core_order import CountedOrder
 # build_graph stays a module attribute here, where bench/spans.py wraps it
 from .labelled_graph import Label, LabelledGraph, build_graph, cached_graph
@@ -213,20 +224,28 @@ def _certificate(G1: LabelledGraph, G2: LabelledGraph) -> str:
     for name, measure in _INVARIANTS:
         x, y = measure(G1), measure(G2)
         if x != y:
-            return f"{name} differs: {x} vs {y}"
+            return _differs(name, x, y)
     return "no order-compatible vertex bijection extends to an isomorphism"
+
+
+def _differs(name: str, x, y) -> str:
+    return f"{name} differs: {x} vs {y}"
 
 
 def decide_morita(
     T1: TransitionMatrix, T2: TransitionMatrix, cross_check: bool = False
 ) -> Verdict:
-    """Decide on the two labelled graphs, each built at most once per
-    matrix (``cached_graph``).  With ``cross_check``, an EQUIVALENT
-    verdict's witness must also give an isomorphism of the combinatorial
-    data that keeps the full product table
+    """Decide on the class counts when they differ, with no order or
+    graph built, and otherwise on the two labelled graphs, each built at
+    most once per matrix (``cached_graph``).  With ``cross_check``, an
+    EQUIVALENT verdict's witness must also give an isomorphism of the
+    combinatorial data that keeps the full product table
     (``smorita._assemble_and_verify``, an ``InvariantViolation`` when it
     does not); a NOT EQUIVALENT one builds no CD.  The graphs are shared
     with later calls and only read."""
+    k1, k2 = len(core_order.f_classes(T1)), len(core_order.f_classes(T2))
+    if k1 != k2:
+        return Verdict(False, None, _differs("vertex count", k1, k2))
     G1, G2 = cached_graph(T1), cached_graph(T2)
     witness = graphs_isomorphic_ordered(G1, G2)
     if witness is None:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -584,23 +585,51 @@ VERDICTS = {
 class TestGraphCache:
     def test_repeated_decides_build_each_graph_once(self):
         """Bucketing-style traffic: several matrices, each decided twice
-        against one representative.  Every matrix is a cache miss once, and
-        each witness still verifies on freshly built graphs."""
+        against one representative.  Every matrix with the diamond's class
+        count is a cache miss once, and each witness still verifies on
+        freshly built graphs.  The 2-letter matrix has 1 class to the
+        diamond's 4, so it is decided on the counts and reaches neither
+        the graph cache nor the order cache."""
+        from shiftmorita.core_order import cached_order
+
         rep = TransitionMatrix(("p", "q", "r"), (3, 6, 7))  # the diamond
-        others = [rep] + [
+        same = [rep] + [
             permuted_copy(rep, perm) for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0])
         ]
-        others += [TransitionMatrix(("p", "q"), (3, 3))]
-        misses = cached_graph.cache_info().misses
+        others = same + [TransitionMatrix(("p", "q"), (3, 3))]
+        misses = cached_graph.cache_info().misses, cached_order.cache_info().misses
         for _ in range(2):
             for T in others:
                 v = decide_morita(T, rep)
                 assert v.equivalent == (T.n == 3)
                 if v.equivalent:
                     assert verify_witness(build_graph(T), build_graph(rep), v.witness)
-        assert cached_graph.cache_info().misses - misses == len(set(others))
+                else:
+                    assert v.certificate == "vertex count differs: 1 vs 4"
+        assert (
+            cached_graph.cache_info().misses - misses[0],
+            cached_order.cache_info().misses - misses[1],
+        ) == (len(set(same)), len(set(same)))
         assert cached_graph(rep) is cached_graph(rep)
 
+
+    def test_twelve_letter_j_minus_i_against_the_golden_mean(self):
+        """J−I at 12 letters has 2¹² − 2 = 4 094 classes; against the
+        golden-mean shift's 2 it is decided on the class counts, with no
+        order built for either matrix."""
+        from shiftmorita.core_order import cached_order
+
+        n = 12
+        full = (1 << n) - 1
+        T = TransitionMatrix(
+            tuple(f"j{i}" for i in range(n)), tuple(full & ~(1 << i) for i in range(n))
+        )
+        golden = TransitionMatrix(("g0", "g1"), (0b11, 0b01))
+        misses = cached_order.cache_info().misses
+        v = decide_morita(T, golden)
+        assert not v.equivalent and v.witness is None
+        assert v.certificate == "vertex count differs: 4094 vs 2"
+        assert cached_order.cache_info().misses == misses
 
     def test_search_inputs_built_once_per_graph(self, monkeypatch):
         """The search's view of the order, with the label counts, is built
@@ -647,20 +676,47 @@ class TestGraphCache:
         """No decision builds an edge: whichever invariant decides, or the
         search, plain or cross-checked, both fresh cached graphs stay
         without them.  The letters are renamed after the case, so that
-        both graphs are built here."""
+        both graphs are built here.  A vertex count verdict is read off
+        the class counts: neither fresh matrix reaches the order or the
+        graph cache."""
+        from shiftmorita.core_order import cached_order
+
         text1, text2, certificate = VERDICTS[stage]
         tag = f"{stage.replace(' ', '')}:{cross_check}"
         T1, T2 = (
             TransitionMatrix(tuple(f"{s}:{tag}:{i}" for s in T.symbols), T.rows)
             for i, T in enumerate((mx(text1), mx(text2)))
         )
+        misses = cached_graph.cache_info().misses, cached_order.cache_info().misses
         v = decide_morita(T1, T2, cross_check=cross_check)
         assert v.equivalent == (certificate is None) and v.certificate == certificate
+        if stage == "vertex count":
+            assert (
+                cached_graph.cache_info().misses,
+                cached_order.cache_info().misses,
+            ) == misses
         for T in (T1, T2):
             assert "edges" not in vars(cached_graph(T))
         G = cached_graph(T1)
         assert len(G.edges) == G.edge_count
         assert "edges" in vars(G)
+
+
+class TestEveryVerdictDigest:
+    def test_every_ordered_pair_up_to_three_letters(self):
+        """Every verdict on the 353² ordered pairs of ≤3-letter matrices,
+        byte for byte: one SHA-256 over their reprs, in order, pinned to
+        the value recorded before decisions read the class counts first."""
+        mats = list(all_matrices(3))
+        h = hashlib.sha256()
+        for a in mats:
+            for b in mats:
+                h.update(repr(decide_morita(a, b)).encode() + b"\n")
+        assert len(mats) ** 2 == 124_609
+        assert (
+            h.hexdigest()
+            == "4153b319faf03419090ff74deb59d9d9d38303dc658389b3bbfe34e800002ba3"
+        )
 
 
 class TestCertificate:
