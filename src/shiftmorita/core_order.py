@@ -20,24 +20,34 @@ O(k·n) big-int operations for k classes and n letters, from one bitset per
 letter.  At depth 0, rule (4) adds nothing once rules (2) and (3) are
 closed, so the kernel runs only those two (``_core`` has the proof).
 
-``CountedOrder`` is the one owner of the items grouped on pairs of classes
-that decide Morita equivalence: a graph's labels by (range vertex, cover
-class), which are also the combinatorial data's guarded covers by (outer
-class, D-class).  Each graph builds one (``LabelledGraph.counted_order``),
-and one search reads it (``decide.order_isomorphisms``, the group sizes
-as counts); ``CountedOrder.carry`` has one caller, the witness extension
-``decide._extend_witness``, which zips the groups along the class
-bijection found.  The combinatorial data takes that witness's label map.
+Each class's labels are read off the bitsets by one rule,
+``CoreOrder._label_bits``: the labelled graph's covers
+(``CoreOrder.label_covers``, which are also the combinatorial data's
+guarded covers) and their counts on pairs (range vertex, cover class),
+which decide Morita equivalence (``CoreOrder.label_counts``, computed once
+per order).  One search reads the counts (``decide.order_isomorphisms``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Any, Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from .hull import HullIdempotent
 from .shift import CACHE_MAXSIZE, InvariantViolation, TransitionMatrix, _bits, f_classes
+
+
+class LabelCounts(NamedTuple):
+    """A class order's labels counted on pairs (v, c) of class indices:
+    per class, the counts at it by c (``at``) and into it by v (``into``)
+    as (class index, n) pairs, and its profile (below, above, edges out of
+    v, sorted |down(c)| of each label at v), an invariant of
+    count-preserving isomorphisms."""
+
+    at: list[tuple[tuple[int, int], ...]]
+    into: list[tuple[tuple[int, int], ...]]
+    profile: list[tuple]
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,8 @@ class CoreOrder:
     the classes that contain letter b, and ``core_bits[i]`` that of class
     i's core.  ``pairs`` ((lo, hi) with lo below-or-equal hi) and ``cores``
     (class to core) are derived on first use; neither a decision nor the
-    LGIS reads them."""
+    LGIS reads them.  ``label_counts``, which the search reads, is derived on
+    first use too."""
 
     matrix: TransitionMatrix
     classes: tuple[int, ...]
@@ -91,88 +102,70 @@ class CoreOrder:
         """``reference.covers_below(T, v)`` read off the bitsets: ((), u) for each
         maximal proper subclass u of v, then ((b,), row b) for each letter b
         of v in no proper subclass."""
-        return self.label_covers(v, guarded=False)
-
-    def label_covers(self, v: int, guarded: bool = True) -> tuple[HullIdempotent, ...]:
-        """The covers that label v: all but the F-type ones (each the
-        representative of its own class) whose class is below v; every
-        cover when not ``guarded``."""
         i = self.index[v]
-        classes, sub = self.classes, self.maxsub[i]
-        inner = 0
-        for j in _bits(sub):
-            inner |= classes[j]
-        flat = sub & ~self.down[i] if guarded else sub
+        return self._covers(self.maxsub[i], self._label_bits[i][1])
+
+    def label_covers(self, v: int) -> tuple[HullIdempotent, ...]:
+        """The covers that label v: all but the F-type ones (each the
+        representative of its own class) whose class is below v."""
+        return self._covers(*self._label_bits[self.index[v]])
+
+    @cached_property
+    def _label_bits(self) -> list[tuple[int, int]]:
+        """Each class's labels as two bitsets: the classes of its F-type
+        covers, its maximal proper subclasses not below it, and the letters
+        of its O-type ones, those in no proper subclass."""
+        classes, down, bits = self.classes, self.down, []
+        for i, sub in enumerate(self.maxsub):
+            inner = 0
+            for j in _bits(sub):
+                inner |= classes[j]
+            bits.append((sub & ~down[i], classes[i] & ~inner))
+        return bits
+
+    def _covers(self, flat: int, letters: int) -> tuple[HullIdempotent, ...]:
+        classes, rows = self.classes, self.matrix.rows
         return tuple(HullIdempotent((), classes[j]) for j in _bits(flat)) + tuple(
-            HullIdempotent((b,), self.matrix.rows[b]) for b in _bits(v & ~inner)
+            HullIdempotent((b,), rows[b]) for b in _bits(letters)
         )
 
-
-class CountedOrder:
-    """A class order with items grouped on pairs (v, c) of classes, as the
-    isomorphism search reads it: down-sets as bitsets over class indices;
-    per class, the group sizes at it by c (``at``) and into it by v
-    (``into``) as (class index, n) pairs; and each class's profile, an
-    invariant of count-preserving isomorphisms, with ``sorted_profile``
-    their multiset.  ``groups`` keeps each group's items in the order
-    given, for ``carry``.  Outside the tests, only
-    ``LabelledGraph.counted_order`` builds one, over the graph's labels,
-    and only the graph search and its certificate read it.
-
-    Every class must come after the classes below it, so that fixing the
-    classes in index order fixes each down-set with its top; ``ValueError``
-    otherwise.  ``build_order`` checks this.
-    """
-
-    def __init__(self, order: CoreOrder, items: Iterable[tuple[tuple[int, int], Any]]):
-        self.classes = classes = order.classes
-        index = order.index
-        self.down = down = order.down
-        if any(d >> i + 1 for i, d in enumerate(down)):
-            raise ValueError("a class is listed before a class below it")
-        grouped: dict[tuple[int, int], list] = {}
-        for key, item in items:
-            grouped.setdefault(key, []).append(item)
-        self.groups = {key: tuple(group) for key, group in grouped.items()}
-        at: list[list[tuple[int, int]]] = [[] for _ in classes]
-        into: list[list[tuple[int, int]]] = [[] for _ in classes]
-        # sizes[v]: |down(c)| of each label at v; total[c]: labels into c
-        sizes: list[list[int]] = [[] for _ in classes]
-        total = [0] * len(classes)
-        for (v, c), group in grouped.items():
-            i, j, n = index[v], index[c], len(group)
-            at[i].append((j, n))
-            into[j].append((i, n))
-            sizes[i] += [down[j].bit_count()] * n
-            total[j] += n
-        self.at = [tuple(x) for x in at]
-        self.into = [tuple(y) for y in into]
+    @cached_property
+    def label_counts(self) -> LabelCounts:
+        """The labels counted on pairs of classes, as the isomorphism search
+        reads them, in one pass over ``_label_bits``: an F-type label of
+        class i counts at (i, its class), an O-type one on letter b at (i,
+        the class of row b).  Computed once per order."""
+        index, down, rows = self.index, self.down, self.matrix.rows
+        at, into = [], [[] for _ in down]
+        # sizes[i]: |down(c)| of each label at i; total[c]: labels into c
+        sizes, total = [[] for _ in down], [0] * len(down)
+        for i, (flat, letters) in enumerate(self._label_bits):
+            count = dict.fromkeys(_bits(flat), 1)
+            for b in _bits(letters):
+                j = index[rows[b]]
+                count[j] = count.get(j, 0) + 1
+            at.append(tuple(count.items()))
+            for j, n in count.items():
+                into[j].append((i, n))
+                sizes[i] += [down[j].bit_count()] * n
+                total[j] += n
         # a label into c has an edge out of each class below c
-        above, out = [0] * len(classes), [0] * len(classes)
+        above, out = [0] * len(down), [0] * len(down)
         for c, dc in enumerate(down):
             for a in _bits(dc):
                 above[a] += 1
                 out[a] += total[c]
-        # (below, above, edges out of v, |down(class)| of each label at v)
-        self.profile = [
+        # (below, above, edges out of i, |down(c)| of each label at i)
+        profile = [
             (d.bit_count(), above[i], out[i], tuple(sorted(sizes[i])))
             for i, d in enumerate(down)
         ]
+        return LabelCounts(at, [tuple(y) for y in into], profile)
 
     @cached_property
     def sorted_profile(self) -> list[tuple]:
         """The profiles as a sorted list: their multiset, compared whole."""
-        return sorted(self.profile)
-
-    def carry(self, other: "CountedOrder", sigma: dict[int, int]) -> dict:
-        """The item bijection over a class bijection sigma: each group at
-        (v, c), in order, onto the group of ``other`` at (sigma v, sigma c).
-        ``InvariantViolation`` when two such groups differ in size, which a
-        count-preserving sigma rules out."""
-        image = {(sigma[v], sigma[c]): group for (v, c), group in self.groups.items()}
-        if any(len(other.groups.get(k, ())) != len(g) for k, g in image.items()):
-            raise InvariantViolation("groups of an order isomorphism differ in size")
-        return {x: y for k, g in image.items() for x, y in zip(g, other.groups[k])}
+        return sorted(self.label_counts.profile)
 
 
 def _maximal_below(rel: Sequence[int]) -> list[int]:

@@ -7,12 +7,12 @@ of its cover's class, a vertex bijection extends to a full isomorphism iff
 it matches the order relation and, for every pair (vertex, class), the
 number of labels at the vertex whose cover lies in that class.
 
-``order_isomorphisms`` enumerates those bijections between two
-``CountedOrder``s, pruned by vertex profiles and checked on down-sets
-only; each graph's ``counted_order`` is built once per graph.  The first
-bijection it yields decides: ``CountedOrder.carry`` takes the label groups
-along it, and every such map extends to a witness, so a failure to extend
-is an ``InvariantViolation``.
+``order_isomorphisms`` enumerates those bijections between two class
+orders, pruned by vertex profiles and checked on down-sets only; it reads
+the counts that each order computes once (``CoreOrder.label_counts``).  The
+first bijection it yields decides: ``_extend_witness`` zips the two
+graphs' label groups along it, and every such map extends to a witness, so
+a failure to extend is an ``InvariantViolation``.
 
 No decision builds an edge.  The edge count is the sum of the labels' fan
 sizes (``LabelledGraph.edge_count``).  The witness is re-verified fan by
@@ -49,7 +49,7 @@ from typing import Iterator
 # f_classes is looked up on core_order at each call, where bench/spans.py
 # wraps it
 from . import core_order
-from .core_order import CountedOrder
+from .core_order import CoreOrder
 # build_graph stays a module attribute here, where bench/spans.py wraps it
 from .labelled_graph import Label, LabelledGraph, build_graph, cached_graph
 from .shift import InvariantViolation, TransitionMatrix, _bits
@@ -71,28 +71,28 @@ class Verdict:
     certificate: "str | None"
 
 
-def order_isomorphisms(
-    s1: CountedOrder, s2: CountedOrder
-) -> Iterator[dict[int, int]]:
+def order_isomorphisms(o1: CoreOrder, o2: CoreOrder) -> Iterator[dict[int, int]]:
     """The count-preserving order isomorphisms, depth-first with an
-    explicit stack.  Class i of s1 is fixed at depth i; its candidates, the
-    classes of s2 with its profile, are tried in index order and kept when
+    explicit stack.  Class i of o1 is fixed at depth i; its candidates, the
+    classes of o2 with its profile, are tried in index order and kept when
     the down-sets and the counts agree with every class fixed so far.
 
-    The down-sets alone make the map an order isomorphism.  ``CountedOrder``
-    lists every class after the classes below it, so when class i is fixed
-    its whole down-set is fixed.  The map is injective and the profiles
-    carry |down|, so the images of ``s1.down[i]`` equal ``s2.down[j]`` on
-    the fixed classes exactly when they equal ``s2.down[j]``.  So each
+    The down-sets alone make the map an order isomorphism.  ``build_order``
+    lists every class after the classes below it (it checks this as
+    triangularity), so when class i is fixed its whole down-set is fixed.
+    The map is injective and the profiles carry |down|, so the images of
+    ``o1.down[i]`` equal ``o2.down[j]`` on the fixed classes exactly when
+    they equal ``o2.down[j]``.  So each
     down-set goes onto a down-set, a <= b exactly when sigma a <= sigma b,
     and the up-sets need no check of their own.
     """
+    c1, c2 = o1.label_counts, o2.label_counts
     by_profile: dict[tuple, list[int]] = {}
-    for j, p in enumerate(s2.profile):
+    for j, p in enumerate(c2.profile):
         by_profile.setdefault(p, []).append(j)
-    cands = [by_profile.get(p, []) for p in s1.profile]
+    cands = [by_profile.get(p, []) for p in c1.profile]
     k = len(cands)
-    if k != len(s2.classes) or not all(cands):
+    if k != len(o2.classes) or not all(cands):
         return
     # perm[i]: the s2 class of s1's class i, -1 while unfixed
     perm = [-1] * k
@@ -100,12 +100,12 @@ def order_isomorphisms(
 
     def fits(i: int, j: int) -> bool:
         got = 0
-        for c in _bits(s1.down[i]):
+        for c in _bits(o1.down[i]):
             got |= 1 << perm[c]
-        return got == s2.down[j] and all(
+        return got == o2.down[j] and all(
             {perm[c]: n for c, n in r1 if c <= i}
             == {w: n for w, n in r2 if w == j or fixed >> w & 1}
-            for r1, r2 in ((s1.at[i], s2.at[j]), (s1.into[i], s2.into[j]))
+            for r1, r2 in ((c1.at[i], c2.at[j]), (c1.into[i], c2.into[j]))
         )
 
     stack = [iter(cands[0])]
@@ -123,7 +123,7 @@ def order_isomorphisms(
             stack.pop()
             continue
         if i + 1 == k:
-            yield {s1.classes[a]: s2.classes[b] for a, b in enumerate(perm)}
+            yield {o1.classes[a]: o2.classes[b] for a, b in enumerate(perm)}
         else:
             stack.append(iter(cands[i + 1]))
 
@@ -135,12 +135,22 @@ def _extend_witness(
     isomorphism of the vertices, in G1's (key) order, verified.
 
     Such a map always extends.  The labels at (a, c) and at (pi0 a, pi0 c)
-    are equally many, so the groups zip into a label bijection that keeps
-    ranges and source classes.  A label's edges come from the down-set of
-    its source class, and pi0 carries down-sets onto down-sets, so the
-    edges correspond too.  A failure is an ``InvariantViolation``.
+    are equally many, so the groups, each in label order, zip into a label
+    bijection that keeps ranges and source classes.  A label's edges come
+    from the down-set of its source class, and pi0 carries down-sets onto
+    down-sets, so the edges correspond too.
+
+    Sorting G1's labels by the image of their pair (range, cover class)
+    and G2's by their pair, both stably, lines each group up with the group
+    at its image.  When two such groups differ in size, some label meets
+    one of another pair, and ``verify_witness`` refuses the map.  Either
+    failure is an ``InvariantViolation``.
     """
-    pi2 = G1.counted_order.carry(G2.counted_order, pi0)
+    mine = sorted(G1.labels, key=lambda lab: (pi0[lab.vertex], pi0[lab.src_class]))
+    theirs = sorted(G2.labels, key=lambda lab: (lab.vertex, lab.src_class))
+    if len(mine) != len(theirs):
+        raise InvariantViolation("an order isomorphism's label groups differ in size")
+    pi2 = dict(zip(mine, theirs))
     witness = IsoWitness(
         tuple(sorted(pi0.items())),
         tuple((lab, pi2[lab]) for lab in G1.labels),
@@ -204,17 +214,17 @@ def graphs_isomorphic_ordered(
         return None
     if len(G1.labels) != len(G2.labels) or G1.edge_count != G2.edge_count:
         return None
-    pi0 = next(order_isomorphisms(G1.counted_order, G2.counted_order), None)
+    pi0 = next(order_isomorphisms(G1.order, G2.order), None)
     return None if pi0 is None else _extend_witness(G1, G2, pi0)
 
 
 # The invariants a certificate names, in order, each read off values that
-# the graph or its counted order computes once
+# the graph or its class order computes once
 _INVARIANTS = (
     ("vertex count", lambda G: len(G.vertices)),
     ("label count", lambda G: len(G.labels)),
     ("edge count", lambda G: G.edge_count),
-    ("vertex profiles", lambda G: G.counted_order.sorted_profile),
+    ("vertex profiles", lambda G: G.order.sorted_profile),
 )
 
 

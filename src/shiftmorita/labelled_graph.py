@@ -13,9 +13,11 @@ sources (the bits of ``CoreOrder.down`` at the cover's class) are read off
 the class order's bitsets in order, so the labels come out in ``Label.key``
 order and the edges in (label, source) order without a sort.  ``Label`` and
 ``Edge`` are named tuples, built, hashed and ordered as plain tuples.
-Each graph's ``counted_order`` groups its labels by (range vertex, cover
-class) for the isomorphism search and the witness; the combinatorial
-data's guarded covers are these labels, and its check takes the witness.
+The isomorphism search reads the labels only as counts on pairs (range
+vertex, cover class), which the class order computes from the same rule
+(``CoreOrder.label_counts``); the witness groups the labels themselves.
+The combinatorial data's guarded covers are these labels, and its check
+takes the witness.
 
 No decision builds an edge: the edge count is the sum of the fans' sizes
 (``edge_count``), and the witness check reads each fan as its label's
@@ -33,7 +35,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core_order import CoreOrder, CountedOrder, cached_order
+from .core_order import CoreOrder, cached_order
 from .hull import HullIdempotent, dclass_rep, fmt_idem
 from .shift import CACHE_MAXSIZE, TransitionMatrix, _bits
 
@@ -97,14 +99,6 @@ class LabelledGraph:
                 lab: (GREEK[i] if i < len(GREEK) else f"L{i}")
                 for i, lab in enumerate(self.labels)
             }
-        )
-
-    @cached_property
-    def counted_order(self) -> CountedOrder:
-        """The vertex order with the labels grouped by (range vertex, cover
-        class), for the search and the witness; built once per graph."""
-        return CountedOrder(
-            self.order, (((lab.vertex, lab.src_class), lab) for lab in self.labels)
         )
 
     def b_set(self, v: int) -> tuple[int, ...]:

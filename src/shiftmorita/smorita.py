@@ -15,10 +15,10 @@ covers [b, f, b], one per label (b, f) of the labelled graph and in the
 labels' order; each is already in that form (``CDSet`` has the proof).  CD
 is closed under products, its guarded covers are exactly its primitive
 idempotents, and a D-class preserving isomorphism of two CDs is what the
-decision procedure's graph search must agree with.  Grouped by (outer
-class, D-class), the guarded covers are the graph's labels grouped by
-(range vertex, cover class), in the same order over the same class order.
-So the CD check takes the graph search's witness (``IsoWitness``): the
+decision procedure's graph search must agree with.  Counted on pairs
+(outer class, D-class), the guarded covers give the counts on (range
+vertex, cover class) that the graph search reads off the same class order
+(``CoreOrder.label_counts``).  So the CD check takes the graph search's witness (``IsoWitness``): the
 class representatives follow its vertex map, each guarded cover [b, f, b]
 follows its label map, and the check is the full product table
 (``_assemble_and_verify``); a witness that fails the table is an

@@ -16,9 +16,10 @@ from shiftmorita.shift import (
     f_classes,
     natural_leq,
 )
-from shiftmorita.sweeps import all_matrices
+from shiftmorita.sweeps import all_matrices, permuted_copy
 
-from conftest import mx, seeded_matrices
+from conftest import mx, relabelled_matrices, seeded_matrices
+from test_decide import label_counts
 from test_labelled_graph import graph_edges, independent_edges
 from test_shift import matrices
 
@@ -270,23 +271,24 @@ class TestKernelMatchesReference:
         )
 
 
-def up_set_profile(s):
-    """``CountedOrder.profile`` as it was first written: each class's up-set
+def up_set_profile(order):
+    """``LabelCounts.profile`` as it was first written: each class's up-set
     as a bitset, and its edges out as the sum of the labels into each
     class of that up-set."""
-    up = [0] * len(s.classes)
-    for b, db in enumerate(s.down):
+    at, into, _ = order.label_counts
+    up = [0] * len(order.classes)
+    for b, db in enumerate(order.down):
         for a in _bits(db):
             up[a] |= 1 << b
-    into_total = [sum(n for _, n in y) for y in s.into]
+    into_total = [sum(n for _, n in y) for y in into]
     return [
         (
-            s.down[i].bit_count(),
+            order.down[i].bit_count(),
             up[i].bit_count(),
             sum(into_total[j] for j in _bits(up[i])),
-            tuple(sorted(s.down[c].bit_count() for c, n in s.at[i] for _ in range(n))),
+            tuple(sorted(order.down[c].bit_count() for c, n in at[i] for _ in range(n))),
         )
-        for i in range(len(s.classes))
+        for i in range(len(order.classes))
     ]
 
 
@@ -297,10 +299,52 @@ class TestCountedProfile:
         third component counts the edges out of each class."""
         for T in list(all_matrices(3)) + seeded_matrices():
             G = build_graph(T)
-            s = G.counted_order
-            assert s.profile == up_set_profile(s), T.rows
+            profile = G.order.label_counts.profile
+            assert profile == up_set_profile(G.order), T.rows
             out = Counter(e.source for e in G.edges)
-            assert [p[2] for p in s.profile] == [out[v] for v in s.classes], T.rows
+            assert [p[2] for p in profile] == [out[v] for v in G.vertices], T.rows
+
+
+class TestLabelCounts:
+    """``CoreOrder.label_counts``, read off the bitsets, counts the graph's
+    labels: ``at`` and ``into`` both equal the counts taken from the label
+    tuples (``test_decide.label_counts``), and each class's profile holds
+    its down-set size."""
+
+    @staticmethod
+    def check(T):
+        G = build_graph(T)
+        c = G.order.classes
+        at, into, profile = G.order.label_counts
+        want = label_counts(G)
+        assert {(c[i], c[j]): n for i, row in enumerate(at) for j, n in row} == want, T.rows
+        assert {(c[i], c[j]): n for j, col in enumerate(into) for i, n in col} == want, T.rows
+        assert all(n > 0 for row in at for _, n in row), T.rows
+        assert [p[0] for p in profile] == [d.bit_count() for d in G.order.down], T.rows
+
+    def test_every_matrix_up_to_three_letters(self):
+        mats = list(all_matrices(3))
+        assert len(mats) == 353
+        for T in mats:
+            self.check(T)
+
+    def test_seeded_four_to_seven_letters(self):
+        for T in seeded_matrices():
+            self.check(T)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_j_minus_i(self, n):
+        full = (1 << n) - 1
+        self.check(
+            TransitionMatrix(tuple("abcdefgh"[:n]), tuple(full & ~(1 << i) for i in range(n)))
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabelled_matrices())
+    def test_relabelled_matrices(self, case):
+        T, perm = case
+        self.check(T)
+        self.check(permuted_copy(T, perm))
 
 
 class TestBitsetLeq:

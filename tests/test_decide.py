@@ -16,7 +16,7 @@ from hypothesis import given, settings
 import shiftmorita
 from shiftmorita import decide
 from shiftmorita.cli import main
-from shiftmorita.core_order import CoreOrder, CountedOrder, build_order
+from shiftmorita.core_order import CoreOrder, build_order
 from shiftmorita.decide import (
     _certificate,
     _extend_witness,
@@ -25,6 +25,7 @@ from shiftmorita.decide import (
     order_isomorphisms,
     verify_witness,
 )
+from shiftmorita.hull import HullIdempotent
 from shiftmorita.labelled_graph import (
     Edge,
     Label,
@@ -146,22 +147,18 @@ class TestIsomorphism:
 
 
     def test_large_antichain_matches_itself_by_identity(self):
-        """1 500 incomparable vertices without labels: every vertex is a
-        candidate for every other, and the search runs deeper than the
-        interpreter's recursion limit."""
-        classes = tuple(range(1, 1501))
-        k = len(classes)
-        order = CoreOrder(
-            None,
-            classes,
-            {v: i for i, v in enumerate(classes)},
-            tuple(1 << i for i in range(k)),
-            (0,) * k,
-            (),
-            (),
-        )
-        assert order.pairs == frozenset((v, v) for v in classes)
-        G = LabelledGraph(order, ())
+        """1 500 incomparable vertices, one per letter of a matrix whose
+        every letter follows only itself, each with one label whose cover
+        lies in its own class: every vertex is a candidate for every other,
+        and the search runs deeper than the interpreter's recursion
+        limit."""
+        k = 1500
+        classes = tuple(1 << i for i in range(k))
+        T = TransitionMatrix(tuple(f"s{i}" for i in range(k)), classes)
+        order = hand_built_order(classes, {(v, v) for v in classes}, T)
+        labels = tuple(Label(v, f) for v in classes for f in order.label_covers(v))
+        assert labels == tuple(Label(v, HullIdempotent((i,), v)) for i, v in enumerate(classes))
+        G = LabelledGraph(order, labels)
         w = graphs_isomorphic_ordered(G, G)
         assert w is not None
         assert dict(w.vertex_map) == {v: v for v in classes}
@@ -318,15 +315,17 @@ def brute_force_order_isomorphisms(o1, counts1, o2, counts2) -> set:
     return found
 
 
-def hand_built_order(classes, pairs) -> CoreOrder:
+def hand_built_order(classes, pairs, matrix=None) -> CoreOrder:
     """A ``CoreOrder`` over arbitrary class ids from its (lo, hi) pairs,
-    reflexive and transitive; no matrix, cores or covers."""
+    reflexive and transitive, with no proper subclasses, cores or letter
+    bitsets.  Its labels, and so its counts, need a matrix whose rows are
+    classes: each class then has one O-type label per letter of its id."""
     index = {v: i for i, v in enumerate(classes)}
     down = tuple(
         sum(1 << index[lo] for lo, hi in pairs if hi == v) for v in classes
     )
     k = len(classes)
-    order = CoreOrder(None, classes, index, down, (0,) * k, (), ())
+    order = CoreOrder(matrix, classes, index, down, (0,) * k, (), ())
     assert order.pairs == frozenset(pairs)
     return order
 
@@ -345,7 +344,7 @@ class TestOrderIsomorphisms:
                 args = (G.order, label_counts(G), H.order, label_counts(H))
                 got = [
                     tuple(sorted(s.items()))
-                    for s in order_isomorphisms(G.counted_order, H.counted_order)
+                    for s in order_isomorphisms(G.order, H.order)
                 ]
                 assert len(got) == len(set(got)), (T.rows, perm)
                 assert set(got) == brute_force_order_isomorphisms(*args), (T.rows, perm)
@@ -353,19 +352,19 @@ class TestOrderIsomorphisms:
         assert yielded > 300
 
     def test_hand_built_order_against_index_order(self):
-        """Two chains a1 < b1 and a2 < b2.  With the tops listed first, the
-        down-sets and the profiles alone would not rule out a1 -> a2 with
-        b1 -> b1, so the search refuses that listing.  Listed bottom-up, it
-        yields exactly the brute-force set."""
-        b1, b2, a1, a2 = tops_first = (10, 20, 1, 2)
-        pairs = {(v, v) for v in tops_first} | {(a1, b1), (a2, b2)}
-        order = hand_built_order(tops_first, pairs)
-        with pytest.raises(ValueError, match="listed before a class below it"):
-            CountedOrder(order, ())
-        order = hand_built_order((a1, a2, b1, b2), pairs)
-        args = (order, {}, order, {})
-        counted = CountedOrder(order, ())
-        got = [tuple(sorted(s.items())) for s in order_isomorphisms(counted, counted)]
+        """Two chains a1 < b1 and a2 < b2, listed bottom-up as
+        ``build_order`` lists every order, over the letters of a matrix
+        whose rows are a1, a1, a2, a2: the search yields exactly the
+        brute-force set, the identity and the swap of the chains."""
+        a1, a2, b1, b2 = classes = (0b0001, 0b0100, 0b0011, 0b1100)
+        pairs = {(v, v) for v in classes} | {(a1, b1), (a2, b2)}
+        T = TransitionMatrix(tuple("abcd"), (a1, a1, a2, a2))
+        order = hand_built_order(classes, pairs, T)
+        G = LabelledGraph(
+            order, tuple(Label(v, f) for v in classes for f in order.label_covers(v))
+        )
+        args = (order, label_counts(G), order, label_counts(G))
+        got = [tuple(sorted(s.items())) for s in order_isomorphisms(order, order)]
         assert sorted(got) == sorted(brute_force_order_isomorphisms(*args))
         assert len(got) == 2
 
@@ -398,7 +397,7 @@ class TestEverySigmaExtends:
         maps = 0
         for T1, T2 in pairs:
             G1, G2, cd1, cd2 = graphs[T1], graphs[T2], cds[T1], cds[T2]
-            for sigma in order_isomorphisms(G1.counted_order, G2.counted_order):
+            for sigma in order_isomorphisms(G1.order, G2.order):
                 w = _extend_witness(G1, G2, sigma)
                 assert verify_witness(G1, G2, w)
                 _assemble_and_verify(cd1, cd2, w)
@@ -420,19 +419,27 @@ class TestFinisherFailures:
         assert captured.out == ""
         assert "failed to extend" in captured.err
 
-    def test_carry_refuses_groups_of_different_sizes(self):
-        """The one group zip of both finishers: on the chain 1 < 3, groups
-        of different sizes at a pair and its image, or a group whose image
-        pair has none, raise."""
-        order = hand_built_order((1, 3), {(1, 1), (3, 3), (1, 3)})
-        one = CountedOrder(order, [((3, 1), "x")])
-        two = CountedOrder(order, [((3, 1), "y"), ((3, 1), "z")])
-        top = CountedOrder(order, [((3, 3), "w")])
+    def test_extend_witness_refuses_groups_of_different_sizes(self):
+        """The one label-group zip of both finishers: on the chain 1 < 3, a
+        vertex map that does not keep the label counts raises
+        ``InvariantViolation``: when the label totals differ, with groups
+        of different sizes at a pair and its image, or when they agree but
+        a group's image pair has none, which the witness check refuses."""
+        T = TransitionMatrix(("a", "b"), (0b01, 0b11))
+        order = hand_built_order((1, 3), {(1, 1), (3, 3), (1, 3)}, T)
+        x, y, z = (Label(3, HullIdempotent(w, 1)) for w in ((), (0,), (1,)))
+        one = LabelledGraph(order, (x,))
+        two = LabelledGraph(order, (y, z))
+        top = LabelledGraph(order, (Label(3, HullIdempotent((), 3)),))
         identity = {1: 1, 3: 3}
-        assert one.carry(one, identity) == {"x": "x"}
-        for s1, s2 in ((one, two), (two, one), (top, one)):
-            with pytest.raises(InvariantViolation, match="differ in size"):
-                s1.carry(s2, identity)
+        assert _extend_witness(one, one, identity).label_map == ((x, x),)
+        for G1, G2, error in (
+            (one, two, "differ in size"),
+            (two, one, "differ in size"),
+            (top, one, "failed to extend"),
+        ):
+            with pytest.raises(InvariantViolation, match=error):
+                _extend_witness(G1, G2, identity)
 
     def test_cross_checked_decide_searches_once(self, monkeypatch, diamond):
         """One search per cross-checked decide: the CD finisher takes the
@@ -632,19 +639,21 @@ class TestGraphCache:
         assert cached_order.cache_info().misses == misses
 
     def test_search_inputs_built_once_per_graph(self, monkeypatch):
-        """The search's view of the order, with the label counts, is built
-        once per graph: two negative decides (search, then certificate) on
-        two fresh graphs build two views."""
-        from shiftmorita import labelled_graph
+        """The search's input, the label counts, is computed once per
+        order: two negative decides (search, then certificate) on two
+        fresh orders compute them twice."""
+        from functools import cached_property
 
         built = []
+        count = CoreOrder.label_counts.func
 
-        class Counting(labelled_graph.CountedOrder):
-            def __init__(self, order, counts):
-                built.append(order)
-                super().__init__(order, counts)
+        def counting(order):
+            built.append(order)
+            return count(order)
 
-        monkeypatch.setattr(labelled_graph, "CountedOrder", Counting)
+        prop = cached_property(counting)
+        prop.__set_name__(CoreOrder, "label_counts")
+        monkeypatch.setattr(CoreOrder, "label_counts", prop)
         T1 = TransitionMatrix(("p1", "q1"), (0b01, 0b10))
         T2 = TransitionMatrix(("p2", "q2", "r2"), (0b001, 0b001, 0b010))
         for _ in range(2):

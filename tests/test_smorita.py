@@ -131,8 +131,7 @@ class TestCD:
 
     def test_d_tags_match_middle_classes(self, diamond):
         cd = build_cd(diamond)
-        groups = cached_graph(diamond).counted_order.groups
-        tags = {SIdem(*lab): d for (_, d), group in groups.items() for lab in group}
+        tags = {SIdem(*lab): lab.src_class for lab in cached_graph(diamond).labels}
         assert set(tags) == set(cd.Cll)
         for x in cd.elements:
             assert tags.get(x, x.u) == dclass_rep(x.g)
