@@ -142,9 +142,9 @@ def _extend_witness(
 
     Sorting G1's labels by the image of their pair (range, cover class)
     and G2's by their pair, both stably, lines each group up with the group
-    at its image.  When two such groups differ in size, some label meets
-    one of another pair, and ``verify_witness`` refuses the map.  Either
-    failure is an ``InvariantViolation``.
+    at its image.  When two such groups differ in size, some label is
+    paired with one of another pair, and ``verify_witness`` refuses the
+    map.  Either failure is an ``InvariantViolation``.
     """
     mine = sorted(G1.labels, key=lambda lab: (pi0[lab.vertex], pi0[lab.src_class]))
     theirs = sorted(G2.labels, key=lambda lab: (lab.vertex, lab.src_class))
