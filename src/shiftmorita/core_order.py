@@ -8,17 +8,20 @@ the transitive closure of those pairs is the vertex order of the labelled
 graph, and it carries a meet with e_{a^b} = e_a AND e_b whenever nonzero.
 
 ``build_order`` computes the order with one kernel over class indices and
-int bitsets (the depth-0 cores as least fixpoints, Warshall's closure), and
-its ``CoreOrder`` keeps those bitsets: meets, Hasse covers and the covers
-of each class representative are read off them, and the pair and core sets
-are derived on first use.  The maximal proper subclasses (``maxsub``, from
-the subset relation) and the Hasse covers (``CoreOrder.hasse``, from the
-down-sets) are one transitive reduction, ``_maximal_below``, of two
+int bitsets (the depth-0 cores as least fixpoints, Warshall's closure).  It
+computes only the cores of the classes in no other class's core, since a
+member's core lies inside the core that holds it, and it checks the meets
+on the incomparable pairs only; ``build_order`` has both proofs.  Its
+``CoreOrder`` keeps the bitsets: meets, Hasse covers and the covers of each
+class representative are read off them, and the pair set and every class's
+core are derived on first use.  The maximal proper subclasses (``maxsub``,
+from the subset relation) and the Hasse covers (``CoreOrder.hasse``, from
+the down-sets) are one transitive reduction, ``_maximal_below``, of two
 relations.  Antisymmetry is checked as triangularity (see
-``build_order``).  The set-up costs
-O(k·n) big-int operations for k classes and n letters, from one bitset per
-letter.  At depth 0, rule (4) adds nothing once rules (2) and (3) are
-closed, so the kernel runs only those two (``_core`` has the proof).
+``build_order``).  The set-up (``_subsets``) costs O(k·n) big-int
+operations for k classes and n letters, from one bitset per letter.  At
+depth 0, rule (4) adds nothing once rules (2) and (3) are closed, so the
+kernel runs only those two (``_core`` has the proof).
 
 Each class's labels are read off the bitsets by one rule,
 ``CoreOrder._label_bits``: the labelled graph's covers
@@ -55,12 +58,12 @@ class CoreOrder:
     """Nonzero D-classes with the derived order, in the kernel's bitsets:
     class i is the mask ``classes[i]`` (``index`` inverts that), ``down[i]``
     and ``maxsub[i]`` are the bitsets of the classes below-or-equal it and of
-    its maximal proper subclasses, ``letter_classes[b]`` is the bitset of
-    the classes that contain letter b, and ``core_bits[i]`` that of class
-    i's core.  ``pairs`` ((lo, hi) with lo below-or-equal hi) and ``cores``
-    (class to core) are derived on first use; neither a decision nor the
-    LGIS reads them.  ``label_counts``, which the search reads, is derived on
-    first use too."""
+    its maximal proper subclasses, and ``letter_classes[b]`` is the bitset
+    of the classes that contain letter b.  ``core_bits`` (class i's core at
+    i), ``pairs`` ((lo, hi) with lo below-or-equal hi) and ``cores`` (class
+    to core) are derived on first use; neither a decision nor the LGIS reads
+    them.  ``label_counts``, which the search reads, is derived on first use
+    too."""
 
     matrix: TransitionMatrix
     classes: tuple[int, ...]
@@ -68,7 +71,13 @@ class CoreOrder:
     down: tuple[int, ...]
     maxsub: tuple[int, ...]
     letter_classes: tuple[int, ...]
-    core_bits: tuple[int, ...]
+
+    @cached_property
+    def core_bits(self) -> tuple[int, ...]:
+        """Each class's core as a bitset of class indices, by ``_core`` on
+        every class (``build_order`` needs the core-maximal ones only)."""
+        classes, inc = self.classes, _subsets(self.classes, self.letter_classes)[2]
+        return tuple(_core(v, classes, self.index, self.maxsub, inc) for v in range(len(classes)))
 
     @cached_property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -117,17 +126,26 @@ class CoreOrder:
         of its O-type ones, those in no proper subclass."""
         classes, down, bits = self.classes, self.down, []
         for i, sub in enumerate(self.maxsub):
-            inner = 0
-            for j in _bits(sub):
-                inner |= classes[j]
+            inner, rest = 0, sub
+            while rest:
+                low = rest & -rest
+                inner |= classes[low.bit_length() - 1]
+                rest ^= low
             bits.append((sub & ~down[i], classes[i] & ~inner))
         return bits
 
     def _covers(self, flat: int, letters: int) -> tuple[HullIdempotent, ...]:
-        classes, rows = self.classes, self.matrix.rows
-        return tuple(HullIdempotent((), classes[j]) for j in _bits(flat)) + tuple(
-            HullIdempotent((b,), rows[b]) for b in _bits(letters)
-        )
+        classes, rows, out = self.classes, self.matrix.rows, []
+        while flat:
+            low = flat & -flat
+            out.append(HullIdempotent((), classes[low.bit_length() - 1]))
+            flat ^= low
+        while letters:
+            low = letters & -letters
+            b = low.bit_length() - 1
+            out.append(HullIdempotent((b,), rows[b]))
+            letters ^= low
+        return tuple(out)
 
     @cached_property
     def label_counts(self) -> LabelCounts:
@@ -136,30 +154,39 @@ class CoreOrder:
         class i counts at (i, its class), an O-type one on letter b at (i,
         the class of row b).  Computed once per order."""
         index, down, rows = self.index, self.down, self.matrix.rows
+        size = [d.bit_count() for d in down]
         at, into = [], [[] for _ in down]
-        # sizes[i]: |down(c)| of each label at i; total[c]: labels into c
-        sizes, total = [[] for _ in down], [0] * len(down)
+        # sizes[i]: sorted |down(c)| of each label at i; total[c]: labels into c
+        sizes, total = [], [0] * len(down)
         for i, (flat, letters) in enumerate(self._label_bits):
-            count = dict.fromkeys(_bits(flat), 1)
-            for b in _bits(letters):
-                j = index[rows[b]]
+            count = {}
+            while flat:
+                low = flat & -flat
+                count[low.bit_length() - 1] = 1
+                flat ^= low
+            while letters:
+                low = letters & -letters
+                j = index[rows[low.bit_length() - 1]]
                 count[j] = count.get(j, 0) + 1
+                letters ^= low
             at.append(tuple(count.items()))
+            mine = []
             for j, n in count.items():
                 into[j].append((i, n))
-                sizes[i] += [down[j].bit_count()] * n
+                mine += [size[j]] * n
                 total[j] += n
+            sizes.append(tuple(sorted(mine)))
         # a label into c has an edge out of each class below c
         above, out = [0] * len(down), [0] * len(down)
         for c, dc in enumerate(down):
-            for a in _bits(dc):
+            while dc:
+                low = dc & -dc
+                a = low.bit_length() - 1
                 above[a] += 1
                 out[a] += total[c]
+                dc ^= low
         # (below, above, edges out of i, |down(c)| of each label at i)
-        profile = [
-            (d.bit_count(), above[i], out[i], tuple(sorted(sizes[i])))
-            for i, d in enumerate(down)
-        ]
+        profile = list(zip(size, above, out, sizes))
         return LabelCounts(at, [tuple(y) for y in into], profile)
 
     @cached_property
@@ -181,36 +208,14 @@ def _maximal_below(rel: Sequence[int]) -> list[int]:
     return out
 
 
-def build_order(T: TransitionMatrix) -> CoreOrder:
-    """Transitive-reflexive closure of within-core comparabilities.
-    Antisymmetry and the meets are verified, never repaired.
-
-    One kernel over class indices (positions in ``f_classes(T)``) and int
-    bitsets over them.  With ``has[b]`` the classes that contain letter b,
-    class i's supersets are the AND of ``has[b]`` over its letters, its
-    subsets the AND of ``~has[b]`` over the other letters, and the classes
-    it meets the OR over its letters.  It returns what the
-    ``reference.core_of_at`` cores give with the pair closure and the meet
-    scan over them, and covers equal to ``reference.covers_below``; the
-    tests check that they agree.
-
-    Antisymmetry is checked as triangularity, ``down[b] >> b + 1 == 0``: if
-    a <= b <= a, a is listed at or before b and b at or before a.  This is
-    stronger, and always holds: ``down[g]`` takes bits of ``sub[g]`` only,
-    and the closure joins down-sets of subclasses only, so the order lies
-    inside the subset relation, over sorted distinct masks.
-    """
-    classes = f_classes(T)
-    k = len(classes)
-    index = {c: i for i, c in enumerate(classes)}
-    every = (1 << k) - 1
-    # has[b]: the classes that contain letter b
-    has = [0] * T.n
-    for i, c in enumerate(classes):
-        for b in _bits(c):
-            has[b] |= 1 << i
-    # sub[i]/sup[i]: subset relation on masks (reflexive); inc[i]: classes
-    # incomparable with i whose AND with i is nonzero.
+def _subsets(classes: Sequence[int], has: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """The subset relation on the class masks and the classes each meets
+    incomparably, from ``has[b]``, the classes that contain letter b:
+    ``sub[i]`` (reflexive) is the AND of ``~has[b]`` over the letters
+    outside class i, ``sup[i]`` the AND of ``has[b]`` over its letters, and
+    ``inc[i]`` the classes incomparable with i whose AND with i is nonzero,
+    from the OR of ``has[b]`` over its letters."""
+    every = (1 << len(classes)) - 1
     sub, sup, inc = [], [], []
     for c in classes:
         below = above = every
@@ -224,13 +229,67 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
         sub.append(below)
         sup.append(above)
         inc.append(meets & ~below & ~above)
+    return sub, sup, inc
+
+
+def build_order(T: TransitionMatrix) -> CoreOrder:
+    """Transitive-reflexive closure of within-core comparabilities.
+    Antisymmetry and the meets are verified, never repaired.
+
+    One kernel over class indices (positions in ``f_classes(T)``) and int
+    bitsets over them, with the subset relation from ``_subsets``.  It
+    returns what the ``reference.core_of_at`` cores give with the pair
+    closure and the meet scan over them, and covers equal to
+    ``reference.covers_below``; the tests check that they agree.
+
+    Only the cores of the core-maximal classes, those in no other class's
+    core, are computed:
+    - The rules are monotone and read only members and their covers.  Let
+      u be in core(v).  By induction on the steps that build core(u), each
+      step reads members and covers that core(v) already holds, and core(v)
+      is closed under it, so core(u) lies inside core(v).
+    - So ``sub[g] & core(u)`` lies inside ``sub[g] & core(v)`` for each g
+      of core(u), and core(u) adds no pair to the order.
+    - A class lies only in the cores of its supersets, which have higher
+      indices (a proper subset is a smaller mask).  The walk runs from the
+      last index down and skips each class already in a computed core, so
+      it computes exactly the classes in no other class's core: a class u
+      in core(v) is skipped, as v was computed or lies in a computed core,
+      which then holds u too.
+
+    Antisymmetry is checked as triangularity, ``down[b] >> b + 1 == 0``: if
+    a <= b <= a, a is listed at or before b and b at or before a.  This is
+    stronger, and always holds: ``down[g]`` takes bits of ``sub[g]`` only,
+    and the closure joins down-sets of subclasses only, so the order lies
+    inside the subset relation, over sorted distinct masks.
+
+    The meet check skips the comparable pairs.  If the common lower bounds
+    of i and j (i listed first) are all of ``down[i]``, then i <= j, so i is
+    a subset of j, their AND is i and ``down[i]`` is the common lower bounds:
+    the check holds.  For every other pair with common lower bounds, the
+    check is that their AND class m is one of them and lies above all of
+    them; by reflexivity and transitivity that is ``down[m]`` equal to
+    them, and which message a failure gets depends on whether m is one of
+    them.
+    """
+    classes = f_classes(T)
+    k = len(classes)
+    index = {c: i for i, c in enumerate(classes)}
+    # has[b]: the classes that contain letter b
+    has = [0] * T.n
+    for i, c in enumerate(classes):
+        for b in _bits(c):
+            has[b] |= 1 << i
+    sub, sup, inc = _subsets(classes, has)
     maxsub = _maximal_below(sub)  # maximal proper subclasses
 
     down = [0] * k
-    core_bits = []
-    for v in range(k):
+    covered = 0  # the classes in a core computed so far
+    for v in range(k - 1, -1, -1):
+        if covered >> v & 1:
+            continue
         core = rest = _core(v, classes, index, maxsub, inc)
-        core_bits.append(core)
+        covered |= core
         while rest:
             low = rest & -rest
             g = low.bit_length() - 1
@@ -261,21 +320,19 @@ def build_order(T: TransitionMatrix) -> CoreOrder:
         da = down[i]
         for j in range(i + 1, k):
             lower = da & down[j]
-            if not lower:
+            if not lower or lower == da:
                 continue
             b = classes[j]
             m = index.get(a & b)
-            if m is None or not (lower >> m & 1):
-                raise InvariantViolation(
-                    f"meet of {T.fmt_vec(a)}, {T.fmt_vec(b)} is not the AND class"
-                )
-            if lower & ~down[m]:
+            if m is None or lower != down[m]:
+                if m is None or not (lower >> m & 1):
+                    raise InvariantViolation(
+                        f"meet of {T.fmt_vec(a)}, {T.fmt_vec(b)} is not the AND class"
+                    )
                 raise InvariantViolation(
                     f"AND class of {T.fmt_vec(a)}, {T.fmt_vec(b)} is not the glb"
                 )
-    return CoreOrder(
-        T, classes, index, tuple(down), tuple(maxsub), tuple(has), tuple(core_bits)
-    )
+    return CoreOrder(T, classes, index, tuple(down), tuple(maxsub), tuple(has))
 
 
 def _core(

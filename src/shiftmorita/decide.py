@@ -186,9 +186,10 @@ def verify_witness(G1: LabelledGraph, G2: LabelledGraph, w: IsoWitness) -> bool:
         G2.vertices
     ):
         return False
-    if sorted(pi2, key=Label.key) != list(G1.labels) or sorted(
-        pi2.values(), key=Label.key
-    ) != list(G2.labels):
+    images = set(pi2.values())
+    if not len(pi2) == len(G1.labels) == len(images) == len(G2.labels):
+        return False
+    if pi2.keys() != set(G1.labels) or images != set(G2.labels):
         return False
     o1, o2 = G1.order, G2.order
     image_bit = [1 << o2.index[pi0[a]] for a in o1.classes]

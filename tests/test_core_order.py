@@ -18,7 +18,7 @@ from shiftmorita.shift import (
 )
 from shiftmorita.sweeps import all_matrices, permuted_copy
 
-from conftest import mx, relabelled_matrices, seeded_matrices
+from conftest import DIAMOND_TEXT, mx, relabelled_matrices, seeded_matrices
 from test_decide import label_counts
 from test_labelled_graph import graph_edges, independent_edges
 from test_shift import matrices
@@ -390,6 +390,75 @@ class TestBitsetLeq:
             ((1, 3), {(1, 1), (3, 3), (1, 3)}),
         ):
             self.check(hand_built_order(classes, rel))
+
+
+def j_minus_i(n):
+    """The matrix J − I on n letters: every letter may follow every other."""
+    full = (1 << n) - 1
+    return TransitionMatrix(tuple("abcdefgh"[:n]), tuple(full & ~(1 << i) for i in range(n)))
+
+
+def counting_core(monkeypatch):
+    """Wrap ``core_order._core`` to count its calls; returns the counter."""
+    import shiftmorita.core_order as co
+
+    calls = Counter()
+    core = co._core
+
+    def counted(v, *args):
+        calls[v] += 1
+        return core(v, *args)
+
+    monkeypatch.setattr(co, "_core", counted)
+    return calls
+
+
+class TestCoreMaximalWalk:
+    """``build_order`` computes only the cores of the classes in no other
+    class's core, which its docstring proves enough: a member's core lies
+    inside the core that holds it.  ``core_bits`` computes every core, once."""
+
+    @staticmethod
+    def check_nested(T):
+        cores = build_order(T).core_bits
+        for v, core in enumerate(cores):
+            for u in _bits(core):
+                assert cores[u] & ~core == 0, (T.rows, u, v)
+
+    def test_nested_up_to_three_letters(self):
+        for T in all_matrices(3):
+            self.check_nested(T)
+
+    def test_nested_seeded(self):
+        for T in seeded_matrices():
+            self.check_nested(T)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_nested_j_minus_i(self, n):
+        self.check_nested(j_minus_i(n))
+
+    @pytest.mark.parametrize(
+        "T, calls, k", [(j_minus_i(6), 6, 62), (mx(DIAMOND_TEXT), 1, 4)], ids=["J-I 6", "diamond"]
+    )
+    def test_one_core_per_core_maximal_class(self, monkeypatch, T, calls, k):
+        calls_of = counting_core(monkeypatch)
+        order = build_order(T)
+        walked = dict(calls_of)
+        assert len(order.classes) == k
+        assert sum(walked.values()) == calls and max(walked.values()) == 1
+        # exactly the classes in no other class's core
+        held = 0
+        for v, core in enumerate(order.core_bits):
+            held |= core & ~(1 << v)
+        assert set(walked) == {v for v in range(k) if not held >> v & 1}
+
+    def test_core_bits_computed_once(self, monkeypatch):
+        order = build_order(j_minus_i(4))
+        calls_of = counting_core(monkeypatch)
+        first = order.core_bits
+        assert sum(calls_of.values()) == len(order.classes)
+        assert order.core_bits is first
+        assert sum(calls_of.values()) == len(order.classes)
 
 
 class TestOrderChecks:

@@ -261,6 +261,27 @@ class TestVerifyMatchesReference:
         ):
             assert not verify_witness(diamond_graph, diamond_graph, bad)
 
+    @pytest.mark.parametrize("case", ["label not in G1", "two labels, one image"])
+    def test_label_maps_off_the_labels_rejected(self, case):
+        """On the full 2-shift, whose two labels share their vertex and
+        cover class, so that every fan check passes: a label map whose keys
+        are not G1's labels is refused by the set check, and one that sends
+        both labels onto the one label of a copy that keeps only it by the
+        size check; the reference refuses both."""
+        G = build_graph(mx("a b\n11\n11"))
+        w = graphs_isomorphic_ordered(G, G)
+        (l0, y0), (l1, y1) = w.label_map
+        assert (l0.vertex, l0.src_class) == (l1.vertex, l1.src_class)
+        if case == "label not in G1":
+            stranger = Label(l0.vertex, HullIdempotent((), l0.src_class))
+            assert stranger not in G.labels
+            H, bad_map = G, ((stranger, y0), (l1, y1))
+        else:
+            H, bad_map = LabelledGraph(G.order, (y0,)), ((l0, y0), (l1, y0))
+        bad = dataclasses.replace(w, label_map=bad_map)
+        assert not verify_witness(G, H, bad)
+        assert not reference_verify_witness(G, H, bad)
+
     def test_order_is_checked(self, diamond, diamond_graph):
         # a vertex swap that moves no edge: only the order check can catch
         # it, here on an edgeless copy of the diamond
@@ -325,7 +346,7 @@ def hand_built_order(classes, pairs, matrix=None) -> CoreOrder:
         sum(1 << index[lo] for lo, hi in pairs if hi == v) for v in classes
     )
     k = len(classes)
-    order = CoreOrder(matrix, classes, index, down, (0,) * k, (), ())
+    order = CoreOrder(matrix, classes, index, down, (0,) * k, ())
     assert order.pairs == frozenset(pairs)
     return order
 

@@ -37,10 +37,13 @@ B, AB, BC, ABC = range(4)
 
 
 def broken(order, cls=CoreOrder, **fields):
-    """A copy of ``order`` as ``cls``, with some bitset fields replaced."""
-    kw = {f.name: getattr(order, f.name) for f in dataclasses.fields(CoreOrder)}
-    kw.update(fields)
-    return cls(**kw)
+    """A copy of ``order`` as ``cls``, with some bitset fields replaced; a
+    derived one (``core_bits``) is set in place of its first computation."""
+    names = {f.name for f in dataclasses.fields(CoreOrder)}
+    kw = {name: fields.pop(name, getattr(order, name)) for name in names}
+    out = cls(**kw)
+    vars(out).update(fields)
+    return out
 
 
 def changed(bits, i, fn):
