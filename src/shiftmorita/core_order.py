@@ -26,9 +26,12 @@ kernel runs only those two (``_core`` has the proof).
 Each class's labels are read off the bitsets by one rule,
 ``CoreOrder._label_bits``: the labelled graph's covers
 (``CoreOrder.label_covers``, which are also the combinatorial data's
-guarded covers) and their counts on pairs (range vertex, cover class),
-which decide Morita equivalence (``CoreOrder.label_counts``, computed once
-per order).  One search reads the counts (``decide.order_isomorphisms``).
+guarded covers, and from which ``LabelledGraph.labels`` is built on first
+use) and their counts on pairs (range vertex, cover class), which decide
+Morita equivalence (``CoreOrder.label_counts``, computed once per order).
+A decision reads only the counts: the search (``decide.order_isomorphisms``),
+its gate on the sorted profiles and the certificate's label and edge
+counts, which are sums over the profiles.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ class CoreOrder:
     of the classes that contain letter b.  ``core_bits`` (class i's core at
     i), ``pairs`` ((lo, hi) with lo below-or-equal hi) and ``cores`` (class
     to core) are derived on first use; neither a decision nor the LGIS reads
-    them.  ``label_counts``, which the search reads, is derived on first use
-    too."""
+    them.  ``label_counts`` and ``sorted_profile``, all that a decision
+    reads of the labels, are derived on first use too, and so are the
+    labelled graph's labels (``LabelledGraph.labels``, from
+    ``label_covers``)."""
 
     matrix: TransitionMatrix
     classes: tuple[int, ...]

@@ -14,9 +14,13 @@ first bijection it yields decides: ``_extend_witness`` zips the two
 graphs' label groups along it, and every such map extends to a witness, so
 a failure to extend is an ``InvariantViolation``.
 
-No decision builds an edge.  The edge count is the sum of the labels' fan
-sizes (``LabelledGraph.edge_count``).  The witness is re-verified fan by
-fan: the edges are exactly one fan per label, from the down-set of its
+A decision reads the graphs' counts only off their class orders: one
+comparison of the sorted profiles gates the search, and the certificate
+reads the vertex, label and edge counts off the same profiles
+(``order_isomorphisms`` and ``_INVARIANTS`` have the proofs).  So
+the ``Label`` tuples are built only on an EQUIVALENT verdict, for the
+witness, and no decision builds an edge.  The witness is re-verified fan
+by fan: the edges are exactly one fan per label, from the down-set of its
 cover class into its vertex, so once the vertex map carries each down-set
 onto the down-set of its image, a label's fan goes onto its image's fan
 exactly when the vertex map takes the label's vertex and cover class to
@@ -35,10 +39,8 @@ many matrices against a few builds each graph once.  Under
 ``cross_check`` the witness is carried on to the combinatorial data
 (``smorita``): its vertex map moves the class representatives, its label
 map the guarded covers, and the map must pass the full product table.
-A negative verdict carries the first invariant that differs; the vertex
-profiles behind it are built only when the vertex, label and edge
-counts agree, and each graph computes its edge count and sorted profiles
-once.
+A negative verdict carries the first invariant that differs, read off
+the counts that each class order computes once.
 """
 
 from __future__ import annotations
@@ -85,15 +87,21 @@ def order_isomorphisms(o1: CoreOrder, o2: CoreOrder) -> Iterator[dict[int, int]]
     they equal ``o2.down[j]``.  So each
     down-set goes onto a down-set, a <= b exactly when sigma a <= sigma b,
     and the up-sets need no check of their own.
+
+    Orders whose sorted profiles differ are refused before the search: such
+    a map carries each class's profile onto its image's, so their
+    multisets agree.  Then both orders have k classes and every profile of
+    o1 has a candidate.  The multisets carry the vertex, label and edge
+    counts (``_INVARIANTS``), so no count is compared apart.
     """
+    if o1.sorted_profile != o2.sorted_profile:
+        return
     c1, c2 = o1.label_counts, o2.label_counts
     by_profile: dict[tuple, list[int]] = {}
     for j, p in enumerate(c2.profile):
         by_profile.setdefault(p, []).append(j)
-    cands = [by_profile.get(p, []) for p in c1.profile]
+    cands = [by_profile[p] for p in c1.profile]
     k = len(cands)
-    if k != len(o2.classes) or not all(cands):
-        return
     # perm[i]: the s2 class of s1's class i, -1 while unfixed
     perm = [-1] * k
     fixed = 0
@@ -210,21 +218,22 @@ def graphs_isomorphic_ordered(
 ) -> "IsoWitness | None":
     """The verified witness over the first count-preserving order
     isomorphism of the vertices, or None when there is none.  The first one
-    decides: every such map extends (``_extend_witness``)."""
-    if len(G1.vertices) != len(G2.vertices):
-        return None
-    if len(G1.labels) != len(G2.labels) or G1.edge_count != G2.edge_count:
-        return None
+    decides: every such map extends (``_extend_witness``).  The graphs'
+    counts are compared only as the orders' sorted profiles, which the
+    search compares first."""
     pi0 = next(order_isomorphisms(G1.order, G2.order), None)
     return None if pi0 is None else _extend_witness(G1, G2, pi0)
 
 
-# The invariants a certificate names, in order, each read off values that
-# the graph or its class order computes once
+# The invariants a certificate names, in order, each read off the counts
+# that the class order computes once.  There is one profile per vertex, and
+# profile[3] holds one |down(c)| per label at its vertex, so the lengths sum
+# to the label count.  profile[2] counts the edges out of its vertex, one
+# from each class below a label's cover class, so those sum to the edge count.
 _INVARIANTS = (
     ("vertex count", lambda G: len(G.vertices)),
-    ("label count", lambda G: len(G.labels)),
-    ("edge count", lambda G: G.edge_count),
+    ("label count", lambda G: sum(len(p[3]) for p in G.order.label_counts.profile)),
+    ("edge count", lambda G: sum(p[2] for p in G.order.label_counts.profile)),
     ("vertex profiles", lambda G: G.order.sorted_profile),
 )
 

@@ -3,26 +3,25 @@
 Vertices are the nonzero D-classes.  For each vertex a and each cover f of
 its representative that is not itself a representative of a class below a,
 there is one edge into a from every vertex below f's class, all carrying
-the label (a, f).  So a graph is fixed by its class order and its labels:
-``LabelledGraph`` stores those two and derives its edges on first use, one
-fan per label, each edge's range being its label's vertex.  Equal labels
-therefore have equal ranges by construction, which is the
-strongly-right-resolving property the path algebra relies on.  The
-covers with their guard (``CoreOrder.label_covers``) and each fan's
-sources (the bits of ``CoreOrder.down`` at the cover's class) are read off
-the class order's bitsets in order, so the labels come out in ``Label.key``
-order and the edges in (label, source) order without a sort.  ``Label`` and
-``Edge`` are named tuples, built, hashed and ordered as plain tuples.
-The isomorphism search reads the labels only as counts on pairs (range
-vertex, cover class), which the class order computes from the same rule
-(``CoreOrder.label_counts``); the witness groups the labels themselves.
-The combinatorial data's guarded covers are these labels, and its check
-takes the witness.
+the label (a, f).  So a graph is fixed by its class order: ``LabelledGraph``
+stores only the order and derives its labels and its edges on first use,
+the labels from the covers with their guard (``CoreOrder.label_covers``),
+one fan of edges per label, each edge's range being its label's vertex.
+Equal labels therefore have equal ranges by construction, which is the
+strongly-right-resolving property the path algebra relies on.  The covers
+and each fan's sources (the bits of ``CoreOrder.down`` at the cover's
+class) are read off the class order's bitsets in order, so the labels come
+out in ``Label.key`` order and the edges in (label, source) order without
+a sort.  ``Label`` and ``Edge`` are named tuples, built, hashed and ordered
+as plain tuples.  The combinatorial data's guarded covers are these
+labels, and its check takes the witness.
 
-No decision builds an edge: the edge count is the sum of the fans' sizes
-(``edge_count``), and the witness check reads each fan as its label's
-vertex and cover class (``decide.verify_witness``).  The edges are built
-only for ``to_dot``, the CLI's JSON and ``reference.raw_of``.
+A decision reads the labels only through the class order's counts on
+pairs (range vertex, cover class), ``CoreOrder.label_counts``, which the
+same rule computes; it builds the ``Label`` tuples only on an EQUIVALENT
+verdict, for the witness, and never an edge (``decide`` has the proofs).
+The edges are built only for ``to_dot``, the CLI's JSON and
+``reference.raw_of``.
 
 ``cached_graph`` keeps the graph of each recent matrix, so that repeated
 decisions against one matrix build its graph once.  A graph is shared by
@@ -63,14 +62,20 @@ class Edge(NamedTuple):
 
 
 class LabelledGraph:
-    """Immutable labelled graph: its vertex order and its labels, from
-    which the edges are derived."""
+    """Immutable labelled graph of a class order, whose labels and edges
+    are derived from it."""
 
-    def __init__(self, order: CoreOrder, labels: tuple[Label, ...]):
+    def __init__(self, order: CoreOrder):
         self.matrix: TransitionMatrix = order.matrix
         self.order = order
         self.vertices: tuple[int, ...] = order.classes
-        self.labels = labels
+
+    @cached_property
+    def labels(self) -> tuple[Label, ...]:
+        """(a, f) for each class a and each cover f that labels it
+        (``CoreOrder.label_covers``), in class order; built on first use."""
+        order = self.order
+        return tuple(Label(a, f) for a in order.classes for f in order.label_covers(a))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -83,13 +88,6 @@ class LabelledGraph:
             for lab in self.labels
             for b in _bits(down[index[lab.src_class]])
         )
-
-    @cached_property
-    def edge_count(self) -> int:
-        """``len(self.edges)``, the sum of the fans' sizes, built without an
-        edge."""
-        down, index = self.order.down, self.order.index
-        return sum(down[index[lab.src_class]].bit_count() for lab in self.labels)
 
     @cached_property
     def label_names(self) -> MappingProxyType:
@@ -112,10 +110,7 @@ class LabelledGraph:
 
 
 def build_graph(T: TransitionMatrix) -> LabelledGraph:
-    order = cached_order(T)
-    return LabelledGraph(
-        order, tuple(Label(a, f) for a in order.classes for f in order.label_covers(a))
-    )
+    return LabelledGraph(cached_order(T))
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

@@ -66,6 +66,16 @@ def relabelled_matrices(draw, max_classes=40):
     return T, list(draw(st.permutations(range(n))))
 
 
+def graph_with_labels(order, labels):
+    """A graph of ``order`` that carries ``labels`` in place of the labels
+    its order gives: a test fake, for label sets that no matrix has."""
+    from shiftmorita.labelled_graph import LabelledGraph
+
+    G = LabelledGraph(order)
+    G.labels = labels
+    return G
+
+
 def reference_build_graph(T):
     """The labels and edges by the rule as stated: every cover of each
     vertex's representative (``covers_below``), less the F-type ones whose

@@ -38,7 +38,7 @@ from shiftmorita.shift import InvariantViolation, TransitionMatrix
 from shiftmorita.smorita import _assemble_and_verify, build_cd, cd_isomorphic
 from shiftmorita.sweeps import all_matrices, permuted_copy
 
-from conftest import DIAMOND_TEXT, mx, relabelled_matrices
+from conftest import DIAMOND_TEXT, graph_with_labels, mx, relabelled_matrices
 
 
 def reference_verify_witness(G1, G2, w):
@@ -156,9 +156,8 @@ class TestIsomorphism:
         classes = tuple(1 << i for i in range(k))
         T = TransitionMatrix(tuple(f"s{i}" for i in range(k)), classes)
         order = hand_built_order(classes, {(v, v) for v in classes}, T)
-        labels = tuple(Label(v, f) for v in classes for f in order.label_covers(v))
-        assert labels == tuple(Label(v, HullIdempotent((i,), v)) for i, v in enumerate(classes))
-        G = LabelledGraph(order, labels)
+        G = LabelledGraph(order)
+        assert G.labels == tuple(Label(v, HullIdempotent((i,), v)) for i, v in enumerate(classes))
         w = graphs_isomorphic_ordered(G, G)
         assert w is not None
         assert dict(w.vertex_map) == {v: v for v in classes}
@@ -277,7 +276,7 @@ class TestVerifyMatchesReference:
             assert stranger not in G.labels
             H, bad_map = G, ((stranger, y0), (l1, y1))
         else:
-            H, bad_map = LabelledGraph(G.order, (y0,)), ((l0, y0), (l1, y0))
+            H, bad_map = graph_with_labels(G.order, (y0,)), ((l0, y0), (l1, y0))
         bad = dataclasses.replace(w, label_map=bad_map)
         assert not verify_witness(G, H, bad)
         assert not reference_verify_witness(G, H, bad)
@@ -285,7 +284,7 @@ class TestVerifyMatchesReference:
     def test_order_is_checked(self, diamond, diamond_graph):
         # a vertex swap that moves no edge: only the order check can catch
         # it, here on an edgeless copy of the diamond
-        bare = LabelledGraph(diamond_graph.order, ())
+        bare = graph_with_labels(diamond_graph.order, ())
         w = graphs_isomorphic_ordered(bare, bare)
         vm = dict(w.vertex_map)
         a, top = diamond.mask_of("ab"), diamond.mask_of("abc")
@@ -381,9 +380,7 @@ class TestOrderIsomorphisms:
         pairs = {(v, v) for v in classes} | {(a1, b1), (a2, b2)}
         T = TransitionMatrix(tuple("abcd"), (a1, a1, a2, a2))
         order = hand_built_order(classes, pairs, T)
-        G = LabelledGraph(
-            order, tuple(Label(v, f) for v in classes for f in order.label_covers(v))
-        )
+        G = LabelledGraph(order)
         args = (order, label_counts(G), order, label_counts(G))
         got = [tuple(sorted(s.items())) for s in order_isomorphisms(order, order)]
         assert sorted(got) == sorted(brute_force_order_isomorphisms(*args))
@@ -449,9 +446,9 @@ class TestFinisherFailures:
         T = TransitionMatrix(("a", "b"), (0b01, 0b11))
         order = hand_built_order((1, 3), {(1, 1), (3, 3), (1, 3)}, T)
         x, y, z = (Label(3, HullIdempotent(w, 1)) for w in ((), (0,), (1,)))
-        one = LabelledGraph(order, (x,))
-        two = LabelledGraph(order, (y, z))
-        top = LabelledGraph(order, (Label(3, HullIdempotent((), 3)),))
+        one = graph_with_labels(order, (x,))
+        two = graph_with_labels(order, (y, z))
+        top = graph_with_labels(order, (Label(3, HullIdempotent((), 3)),))
         identity = {1: 1, 3: 3}
         assert _extend_witness(one, one, identity).label_map == ((x, x),)
         for G1, G2, error in (
@@ -705,10 +702,12 @@ class TestGraphCache:
     def test_count_decided_verdict_builds_no_edges(self, stage, cross_check):
         """No decision builds an edge: whichever invariant decides, or the
         search, plain or cross-checked, both fresh cached graphs stay
-        without them.  The letters are renamed after the case, so that
-        both graphs are built here.  A vertex count verdict is read off
-        the class counts: neither fresh matrix reaches the order or the
-        graph cache."""
+        without them.  Nor does a NOT EQUIVALENT verdict build a label,
+        while an EQUIVALENT one builds both graphs' labels for its
+        witness.  The letters are renamed after the case, so that both
+        graphs are built here.  A vertex count verdict is read off the
+        class counts: neither fresh matrix reaches the order or the graph
+        cache."""
         from shiftmorita.core_order import cached_order
 
         text1, text2, certificate = VERDICTS[stage]
@@ -727,8 +726,9 @@ class TestGraphCache:
             ) == misses
         for T in (T1, T2):
             assert "edges" not in vars(cached_graph(T))
+            assert ("labels" in vars(cached_graph(T))) == v.equivalent
         G = cached_graph(T1)
-        assert len(G.edges) == G.edge_count
+        assert len(G.edges) == sum(p[2] for p in G.order.label_counts.profile)
         assert "edges" in vars(G)
 
 

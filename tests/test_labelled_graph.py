@@ -5,13 +5,19 @@ from hypothesis import given, settings
 
 from shiftmorita.core_order import cached_order
 from shiftmorita.hull import dclass_rep, make_idem
-from shiftmorita.labelled_graph import LabelledGraph, build_graph, fmt_label, to_dot
+from shiftmorita.labelled_graph import build_graph, fmt_label, to_dot
 from shiftmorita.oracle import Oracle
 from shiftmorita.reference import covers_below
 from shiftmorita.shift import allowed_words
 from shiftmorita.sweeps import all_matrices
 
-from conftest import mx, reference_build_graph, relabelled_matrices, seeded_matrices
+from conftest import (
+    graph_with_labels,
+    mx,
+    reference_build_graph,
+    relabelled_matrices,
+    seeded_matrices,
+)
 
 
 def classes_by_name(diamond):
@@ -152,21 +158,28 @@ class TestBitsetLabelCovers:
     def test_matches_the_covers_and_filter_reference(self):
         """Labels and edges, in order, equal those of the reference on every
         matrix with at most 3 letters and the seeded 4-7-letter sample, and
-        the edge count read off the labels is the number of edges."""
+        the label and edge counts that the certificate sums over the order's
+        profiles are the numbers of labels and edges."""
         for T in list(all_matrices(3)) + seeded_matrices():
             G, (labels, edges) = build_graph(T), reference_build_graph(T)
+            profile = G.order.label_counts.profile
+            assert sum(len(p[3]) for p in profile) == len(labels), T.rows
+            assert sum(p[2] for p in profile) == len(edges), T.rows
             assert G.labels == labels, T.rows
-            assert G.edge_count == len(edges), T.rows
             assert G.edges == edges, T.rows
 
     @settings(max_examples=150, deadline=None)
     @given(relabelled_matrices())
     def test_matches_the_references_past_three_letters(self, case):
         """On 4-6-letter matrices with at most 40 classes, the graph equals
-        the covers-and-filter reference, labels and edges in order, and the
+        the covers-and-filter reference, labels and edges in order, and so
+        do the label and edge counts summed over the order's profiles; the
         oracle's word count equals the number of listed words."""
         T, _ = case
         G, (labels, edges) = build_graph(T), reference_build_graph(T)
+        profile = G.order.label_counts.profile
+        assert sum(len(p[3]) for p in profile) == len(labels)
+        assert sum(p[2] for p in profile) == len(edges)
         assert G.labels == labels and G.edges == edges
         for depth in range(1, 5):
             assert Oracle.word_count(T, depth) == len(allowed_words(T, depth))
@@ -258,10 +271,7 @@ class TestDot:
         assert '"{a}" -> "{a}"' in dot
 
     def test_edgeless_graph_nodes_only(self, diamond):
-        from shiftmorita.labelled_graph import LabelledGraph
-
-        order = cached_order(diamond)
-        bare = LabelledGraph(order, ())
+        bare = graph_with_labels(cached_order(diamond), ())
         dot = to_dot(bare)
         assert dot.count("->") == 0
         assert dot.count('";') == 4
